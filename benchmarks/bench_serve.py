@@ -11,12 +11,13 @@ by warm 100-request runs at 1, 8, and 64 concurrent clients.  Gates:
   and none at all during the warm (cache-hot) runs.
 
 A second arm measures the cost of full observability (request tracing
-+ access log + flight recorder) against a server with tracing disabled:
-best-of-3 warm throughput must stay within 5% of the uninstrumented
-baseline, and the per-phase latency breakdown the instrumented server
-reports lands in the results file.  The access log and flight-recorder
-dump are written under ``benchmarks/results/`` so CI uploads them as
-artifacts.
++ access log + flight recorder) against a server with tracing disabled
+over interleaved pairs of warm runs, alternating which arm goes first:
+the median of the per-pair throughput overheads must stay within 5%,
+and every pair, the interquartile spread and the per-phase latency
+breakdown the instrumented server reports land in the results file.
+The access log and flight-recorder dump are written under
+``benchmarks/results/`` so CI uploads them as artifacts.
 
 A third arm prices the cluster front-end: warm 64-client throughput
 through ``--backends 1`` (router + one backend) must stay within 10%
@@ -33,6 +34,7 @@ Writes latency percentiles and throughput per scenario to
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
@@ -50,8 +52,14 @@ EFFECTIVE_CPUS = (len(os.sched_getaffinity(0))
 KERNELS = ("zeroin", "fehl", "spline", "decomp")
 WARM_REQUESTS = 100
 CLIENT_COUNTS = (1, 8, 64)
-OVERHEAD_ROUNDS = 3
-OVERHEAD_REQUESTS = 150
+#: 41 pairs of 1,500-request runs (150-request runs are noisier still).
+#: Between two identically configured servers one pair's "overhead"
+#: spreads over an interquartile range of ~15% on 2 AMD EPYC vCPUs: the
+#: median of 15 pairs still reached 6.7% (1 of 11 such A/A runs), the
+#: median of 41 stayed within -3.1..+2.8% (3 runs), and an arm slowed
+#: by ~10% measured 5.8% and 9.8% over 41 pairs
+OVERHEAD_PAIRS = 41
+OVERHEAD_REQUESTS = 1500
 OVERHEAD_BUDGET = 0.05
 CLUSTER_OVERHEAD_BUDGET = 0.10
 CLUSTER_SCALING_FLOOR = 1.4
@@ -220,9 +228,11 @@ def _warm_throughput(port: int) -> float:
 def test_observability_overhead_and_phase_breakdown(
         tmp_path_factory, results_dir):
     """Full instrumentation (tracing + access log + flight recorder)
-    costs at most ``OVERHEAD_BUDGET`` of warm throughput, best-of-3
-    against an uninstrumented server.  The instrumented server's phase
-    breakdown and artifacts land under ``benchmarks/results/``."""
+    costs at most ``OVERHEAD_BUDGET`` of warm throughput against an
+    uninstrumented server: the median over ``OVERHEAD_PAIRS``
+    interleaved pairs, so no single outlier run decides the gate.  The
+    instrumented server's phase breakdown and artifacts land under
+    ``benchmarks/results/``."""
     access_path = results_dir / "serve_access.jsonl"
     flight_path = results_dir / "serve_flight.json"
     for stale in (access_path, flight_path):
@@ -241,11 +251,17 @@ def test_observability_overhead_and_phase_breakdown(
                            clients=1, total_requests=len(corpus()))
             assert run.failed == 0, run
 
-        # interleave the arms so machine drift hits both equally
-        base_runs, instr_runs = [], []
-        for _ in range(OVERHEAD_ROUNDS):
-            base_runs.append(_warm_throughput(base["port"]))
-            instr_runs.append(_warm_throughput(instr["port"]))
+        # paired runs, alternating which arm goes first, so machine
+        # drift and run order hit both arms equally
+        arms = {"base": base, "instr": instr}
+        pairs = []
+        for index in range(OVERHEAD_PAIRS):
+            order = ("base", "instr") if index % 2 == 0 \
+                else ("instr", "base")
+            rps = {arm: _warm_throughput(arms[arm]["port"])
+                   for arm in order}
+            pairs.append({"first": order[0], **rps,
+                          "overhead": 1.0 - rps["instr"] / rps["base"]})
 
         with ServeClient("127.0.0.1", instr["port"]) as probe:
             snapshot = probe.metrics()
@@ -253,8 +269,10 @@ def test_observability_overhead_and_phase_breakdown(
         stop_server(base)
         stop_server(instr)
 
-    overhead = 1.0 - max(instr_runs) / max(base_runs)
-    assert overhead <= OVERHEAD_BUDGET, (base_runs, instr_runs)
+    overheads = [pair["overhead"] for pair in pairs]
+    overhead = statistics.median(overheads)
+    q1, _, q3 = statistics.quantiles(overheads, n=4)
+    assert overhead <= OVERHEAD_BUDGET, pairs
 
     # the per-phase breakdown the server measured for us
     histograms = snapshot["histograms"]
@@ -264,7 +282,7 @@ def test_observability_overhead_and_phase_breakdown(
     assert "execute" in phases and "parse" in phases
     latency = histograms["serve.request_seconds"]
     assert latency["count"] >= len(corpus()) + \
-        OVERHEAD_ROUNDS * OVERHEAD_REQUESTS
+        OVERHEAD_PAIRS * OVERHEAD_REQUESTS
 
     # the artifacts CI uploads: one access line per request, and the
     # flight recorder dumped on drain
@@ -281,9 +299,14 @@ def test_observability_overhead_and_phase_breakdown(
     payload = json.loads(path.read_text()) if path.exists() else {}
     payload["observability"] = {
         "overhead_budget": OVERHEAD_BUDGET,
-        "overhead_best_of_3": round(overhead, 4),
-        "throughput_uninstrumented": [round(t, 1) for t in base_runs],
-        "throughput_instrumented": [round(t, 1) for t in instr_runs],
+        "overhead_median": round(overhead, 4),
+        "overhead_quartiles": [round(q1, 4), round(q3, 4)],
+        "overhead_iqr": round(q3 - q1, 4),
+        "pairs": [{"first": pair["first"],
+                   "throughput_uninstrumented": round(pair["base"], 1),
+                   "throughput_instrumented": round(pair["instr"], 1),
+                   "overhead": round(pair["overhead"], 4)}
+                  for pair in pairs],
         "request_seconds": {k: latency[k]
                             for k in ("count", "p50", "p90", "p99")},
         "phase_p50_s": {name: snap["p50"]

@@ -150,8 +150,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cluster_config = ClusterConfig(
         backends=args.backends, jobs=1, cache_dir=out / "cache",
-        serve_faults=plan_path,
-        extra_args=("--batch-window", "0.001"))
+        serve_faults=plan_path)
     router_config = RouterConfig(
         virtual_nodes=VIRTUAL_NODES, ping_interval=0.05,
         ping_timeout=1.0, breaker_base=0.02, breaker_cap=0.5,

@@ -27,9 +27,10 @@ Commands
 * ``cache {stats,verify,gc}`` — inspect, re-checksum, or sweep the
   persistent result cache and its ``quarantine/`` directory (``gc``
   also migrates legacy flat entries into their shards)
-* ``serve``             — run the persistent allocation server: a warm
-  worker pool plus the shared result cache behind a JSONL/TCP protocol
-  with admission control and micro-batching; ``--access-log`` /
+* ``serve``             — run the persistent allocation server: a worker
+  pool spawned at start plus the shared result cache behind a JSONL/TCP
+  protocol with admission control and work-conserving batching (no
+  linger: batches form only under backlog); ``--access-log`` /
   ``--metrics-addr`` / ``--flight-dump`` wire up the service
   observability described in ``docs/observability.md`` (see
   ``docs/serving.md``)
@@ -391,7 +392,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         from .serve.router import RouterConfig
 
         extra: list[str] = ["--queue-limit", str(args.queue_limit),
-                            "--batch-window", str(args.batch_window),
                             "--max-batch", str(args.max_batch)]
         if args.no_cache:
             extra.append("--no-cache")
@@ -434,7 +434,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         pool=pool)
     config = ServeConfig(host=args.host, port=args.port,
                          queue_limit=args.queue_limit,
-                         batch_window=args.batch_window,
                          max_batch=args.max_batch,
                          trace_requests=not args.no_request_tracing,
                          access_log=args.access_log,
@@ -581,7 +580,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_cache)
 
     p = sub.add_parser("serve", help="run the persistent allocation "
-                                     "server (JSONL over TCP)")
+                                     "server (JSONL over TCP)",
+                       description="Serve allocation requests as JSONL "
+                                   "over TCP.  The worker pool (--jobs) "
+                                   "is spawned at start; each batch is "
+                                   "dispatched as soon as the previous "
+                                   "one finishes, taking every request "
+                                   "queued meanwhile (up to --max-batch).")
     p.add_argument("--host", default="127.0.0.1",
                    help="listen address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=0,
@@ -591,12 +596,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="admission bound — requests beyond N pending "
                         "are rejected with a typed overload error "
                         "(default 256)")
-    p.add_argument("--batch-window", type=float, default=0.005,
-                   metavar="SECONDS",
-                   help="how long the batcher lingers for stragglers "
-                        "before dispatching a batch (default 0.005)")
     p.add_argument("--max-batch", type=int, default=32, metavar="N",
-                   help="requests per engine batch (default 32)")
+                   help="the most queued requests one engine batch "
+                        "takes; a batch dispatches at once, without "
+                        "waiting to fill (default 32)")
     p.add_argument("--access-log", default=None, metavar="FILE",
                    help="append one JSON access-log line per request "
                         "to FILE (op, key, outcome, retries, per-phase "

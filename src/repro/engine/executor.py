@@ -8,12 +8,30 @@ this module and receive only the (picklable) request.
 from __future__ import annotations
 
 from ..interp import run_function
-from ..ir import parse_function
-from ..obs import NULL_TRACER
-from ..regalloc import allocate
+from ..ir import Function, parse_function
+from ..obs import NULL_TRACER, Tracer
+from ..regalloc import AllocationResult, allocate
 from ..regalloc.splitting import SCHEMES
 from .request import (AllocationSummary, ExperimentRequest, TimingReport,
                       TimingSample, request_key)
+
+
+def allocate_request(fn: Function, request: ExperimentRequest,
+                     tracer: Tracer | None = None) -> AllocationResult:
+    """Allocate *fn* as *request* asks — the one mapping from a
+    request's fields to :func:`~repro.regalloc.allocate`, shared by
+    :func:`execute_request` and the server's ``trace`` operation: the
+    machine, the scheme's mode and pre-split hook (else the plain
+    mode), the four heuristic switches and the allocator strategy."""
+    mode, pre_split = request.mode, None
+    if request.scheme is not None:
+        scheme = SCHEMES[request.scheme]
+        mode, pre_split = scheme.mode, scheme.pre_split
+    return allocate(fn, machine=request.machine, mode=mode,
+                    biased=request.biased, lookahead=request.lookahead,
+                    coalesce_splits=request.coalesce_splits,
+                    optimistic=request.optimistic, pre_split=pre_split,
+                    allocator=request.allocator, tracer=tracer)
 
 
 def execute_request(request: ExperimentRequest,
@@ -35,24 +53,12 @@ def execute_request(request: ExperimentRequest,
 
         with tracer.span("optimize"):
             optimize(fn)
-    mode = request.mode
-    pre_split = None
-    if request.scheme is not None:
-        scheme = SCHEMES[request.scheme]
-        mode = scheme.mode
-        pre_split = scheme.pre_split
 
     samples: list[TimingSample] = []
     result = None
     with tracer.span("allocate", repeats=max(1, request.repeats)):
         for _ in range(max(1, request.repeats)):
-            result = allocate(fn, machine=request.machine, mode=mode,
-                              biased=request.biased,
-                              lookahead=request.lookahead,
-                              coalesce_splits=request.coalesce_splits,
-                              optimistic=request.optimistic,
-                              pre_split=pre_split,
-                              allocator=request.allocator)
+            result = allocate_request(fn, request)
             samples.append(TimingSample(
                 cfa=result.cfa_time, total=result.total_time,
                 rounds=[{"renum": t.renumber, "build": t.build,
@@ -75,7 +81,7 @@ def execute_request(request: ExperimentRequest,
         machine_name=request.machine.name,
         int_regs=request.machine.int_regs,
         float_regs=request.machine.float_regs,
-        mode=mode,
+        mode=result.mode,
         stats=result.stats,
         allocator=request.allocator,
         rounds=result.rounds,

@@ -255,12 +255,15 @@ class _Attempt:
 class _Worker:
     """One supervised child process plus its command pipe."""
 
-    __slots__ = ("process", "conn", "ready")
+    __slots__ = ("process", "conn", "ready", "fresh")
 
     def __init__(self, ctx, plan: FaultPlan | None):
         #: set once the worker's ``("ready",)`` announcement is read;
         #: attempt deadlines only run against ready workers
         self.ready = False
+        #: spawned on demand by the :meth:`WorkerPool.acquire` that
+        #: leased it: its first dispatch pays the interpreter spawn
+        self.fresh = True
         parent, child = ctx.Pipe()
         try:
             self.process = ctx.Process(target=worker_main,
@@ -317,10 +320,11 @@ class WorkerPool:
     The pool owns process creation and idle reuse; a per-batch
     :class:`_Supervisor` borrows workers through :meth:`acquire` /
     :meth:`release` and the pool keeps healthy workers alive between
-    batches.  This is the allocation server's warm-pool core: the first
-    batch pays up to ``size`` interpreter spawns, every later batch
-    leases already-live workers (``stats.reused``) and spawns only to
-    replace workers lost to crashes or timeout kills.
+    batches.  This is the allocation server's warm-pool core: the
+    server spawns all ``size`` workers up front (:meth:`prespawn`), or
+    else the first batch pays them; every later batch leases
+    already-live workers (``stats.reused``) and spawns only to replace
+    workers lost to crashes or timeout kills.
 
     Not thread-safe: one supervisor drives the pool at a time (the
     engine serializes ``run_many`` calls, and the server funnels every
@@ -353,6 +357,27 @@ class WorkerPool:
                 self.stats.reused += 1
                 return worker
             worker.kill()   # died while idle: reap and replace below
+        worker = self._spawn()
+        if worker is not None:
+            self.leased += 1
+        return worker
+
+    def prespawn(self) -> int:
+        """Spawn idle workers until the pool holds ``size``, without
+        waiting for their imports; returns how many were spawned.  A
+        failed spawn is counted like any other and ends the call — the
+        next :meth:`acquire` spawns on demand as before."""
+        spawned = 0
+        while self.leased + len(self.idle) < self.size:
+            worker = self._spawn()
+            if worker is None:
+                break
+            worker.fresh = False    # spawned ahead of any dispatch
+            self.idle.append(worker)
+            spawned += 1
+        return spawned
+
+    def _spawn(self) -> _Worker | None:
         self._spawn_attempts += 1
         try:
             if self.plan is not None \
@@ -365,7 +390,6 @@ class WorkerPool:
             return None
         self.consecutive_spawn_failures = 0
         self.stats.spawned += 1
-        self.leased += 1
         return worker
 
     def release(self, worker: _Worker) -> None:
@@ -518,12 +542,13 @@ class _Supervisor:
                     start=acquire_started if acquire_started is not None
                     else now)
         if not worker.ready:
-            if acquire_started is not None:
+            if worker.fresh and acquire_started is not None:
                 # acquire() paid an interpreter spawn for this dispatch
                 span.children.append(
                     Span("spawn", start=acquire_started, end=now))
             # closed when the worker's ready announcement arrives
             span.children.append(Span("handshake", start=now, end=now))
+        worker.fresh = False
         attempt.span = span
         self.busy[worker] = (attempt, deadline)
         try:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from ..benchsuite import Kernel
 from ..engine import (AllocationSummary, ExperimentEngine,
                       ExperimentRequest, default_engine, expect_summary)
-from ..ir import CountClass, function_to_text
+from ..ir import CountClass
 from ..machine import MachineDescription, huge_machine
 from ..remat import RenumberMode
 
@@ -44,7 +44,7 @@ def kernel_request(kernel: Kernel, machine: MachineDescription,
     flags, ``scheme``, ``run``, ``repeats``, ``cacheable``).
     """
     return ExperimentRequest(
-        ir_text=function_to_text(kernel.compile()),
+        ir_text=kernel.ir_text(),
         machine=machine, mode=mode, optimize_first=optimize_first,
         args=tuple(kernel.args), **overrides)
 

@@ -5,7 +5,7 @@
 behind a JSONL/TCP front end, so repeated experiment traffic pays
 interpreter spawn and import cost once instead of per invocation.
 ``server.py`` holds the asyncio daemon (admission control, in-flight
-dedup, micro-batching, drain-on-SIGTERM), ``protocol.py`` the wire
+dedup, work-conserving batching, drain-on-SIGTERM), ``protocol.py`` the wire
 format and its byte-identity guarantees, ``client.py`` the blocking
 client library plus the reconnecting/retrying
 :class:`~repro.serve.client.ResilientClient`, ``router.py`` the

@@ -126,10 +126,14 @@ def access_record(record: RequestRecord) -> dict[str, Any]:
     }
 
 
+#: canonical JSON (sorted keys, no spaces), built once per process
+_encode_canonical = json.JSONEncoder(sort_keys=True,
+                                     separators=(",", ":")).encode
+
+
 def access_line(record: RequestRecord) -> str:
     """One access-log line (canonical JSON, no newline)."""
-    return json.dumps(access_record(record), sort_keys=True,
-                      separators=(",", ":"))
+    return _encode_canonical(access_record(record))
 
 
 def stitch_request_trace(record: RequestRecord) -> Span:
@@ -178,19 +182,24 @@ class FlightRecorder:
         self._seq = itertools.count()
 
     def record(self, record: RequestRecord) -> None:
+        """Keep *record* if it is interesting; an entry is built only
+        for a record that is kept."""
         self.recorded += 1
-        entry = {
-            "access": access_record(record),
-            "trace": span_to_payload(stitch_request_trace(record)),
-        }
         if record.outcome != "ok":
-            self._failed.append(entry)
+            self._failed.append(self._entry(record))
             return
-        item = (record.total_s, next(self._seq), entry)
+        total = record.total_s
         if len(self._slowest) < self.slots:
-            heapq.heappush(self._slowest, item)
-        elif item[0] > self._slowest[0][0]:
-            heapq.heapreplace(self._slowest, item)
+            heapq.heappush(self._slowest,
+                           (total, next(self._seq), self._entry(record)))
+        elif total > self._slowest[0][0]:
+            heapq.heapreplace(self._slowest,
+                              (total, next(self._seq), self._entry(record)))
+
+    @staticmethod
+    def _entry(record: RequestRecord) -> dict[str, Any]:
+        return {"access": access_record(record),
+                "trace": span_to_payload(stitch_request_trace(record))}
 
     def dump(self) -> dict[str, Any]:
         """JSON-ready snapshot: slowest first, failures oldest first."""

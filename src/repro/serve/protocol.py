@@ -76,6 +76,7 @@ from typing import Any
 from ..engine import AllocationSummary, ExperimentFailure, ExperimentRequest
 from ..machine import machine_with
 from ..regalloc import ALLOCATOR_NAMES
+from ..regalloc.splitting import SCHEMES
 from ..remat import RenumberMode
 
 #: bump when the envelope or an operation's shape changes incompatibly
@@ -193,13 +194,12 @@ def request_from_json(spec: Any) -> ExperimentRequest:
     args = spec.get("args")
     if kernel_name is not None:
         from ..benchsuite import KERNELS_BY_NAME
-        from ..ir import function_to_text
 
         kernel = KERNELS_BY_NAME.get(kernel_name)
         if kernel is None:
             raise ProtocolError("bad_request",
                                 f"unknown kernel {kernel_name!r}")
-        ir_text = function_to_text(kernel.compile())
+        ir_text = kernel.ir_text()
         if args is None:
             args = list(kernel.args)
     if not isinstance(ir_text, str) or not ir_text.strip():
@@ -238,8 +238,11 @@ def request_from_json(spec: Any) -> ExperimentRequest:
             flags[name] = spec[name]
 
     scheme = spec.get("scheme")
-    if scheme is not None and not isinstance(scheme, str):
-        raise ProtocolError("bad_request", "scheme must be a string")
+    if scheme is not None \
+            and (not isinstance(scheme, str) or scheme not in SCHEMES):
+        raise ProtocolError(
+            "bad_request",
+            f"unknown scheme {scheme!r} (one of {', '.join(SCHEMES)})")
     if args is None:
         args = []
     if not isinstance(args, list):

@@ -15,19 +15,21 @@ serves allocation requests to any number of clients over JSONL/TCP
   whose key is already queued or executing attaches to the existing
   future and consumes *no* queue slot: one execution answers every
   subscriber (``serve.deduplicated``).
-* **Micro-batching** — a single batcher task drains the queue, waits
-  ``batch_window`` seconds for stragglers (up to ``max_batch``), and
-  hands the whole batch to :meth:`ExperimentEngine.run_many
-  <repro.engine.engine.ExperimentEngine.run_many>` on a worker thread.
-  Concurrent clients therefore share one cache pass and one supervised
-  fan-out instead of serializing whole round-trips.
-* **Warm workers** — the engine's pool outlives every batch, so
-  steady-state traffic reuses live worker processes; interpreter spawn
-  and import cost is paid at most ``pool.size`` times (plus crash
-  replacement), not per request.  All of the supervisor's failure
-  handling — per-attempt timeouts, retry with backoff, quarantine,
-  serial fallback — applies unchanged; a quarantined request comes
-  back to its clients as a typed ``failed`` error.
+* **Work-conserving batching** — a single batcher task takes the queue
+  head plus whatever else is already queued (up to ``max_batch``) and
+  hands the batch to :meth:`ExperimentEngine.run_many
+  <repro.engine.engine.ExperimentEngine.run_many>` on a worker thread
+  at once.  It never waits for stragglers: an idle server dispatches
+  each request alone, and batches form only from requests that
+  arrived while the previous batch ran, which then share one cache
+  pass and one supervised fan-out.
+* **Warm workers** — the engine's pool is spawned when the server
+  starts and outlives every batch, so no request waits on an
+  interpreter spawn; spawn and import cost is paid ``pool.size`` times
+  (plus crash replacement), not per request.  All of the supervisor's
+  failure handling — per-attempt timeouts, retry with backoff,
+  quarantine, serial fallback — applies unchanged; a quarantined
+  request comes back to its clients as a typed ``failed`` error.
 * **Drain on SIGTERM** — the listener closes, admission stops
   (``draining`` rejections), everything already admitted runs to
   completion and is answered, then the process exits 0.
@@ -83,10 +85,8 @@ class ServeConfig:
             :attr:`AllocationServer.port`).
         queue_limit: admission bound — queued-but-unbatched requests
             beyond this are rejected with ``overload``.
-        batch_window: seconds the batcher lingers for stragglers after
-            the first request of a batch arrives.
-        max_batch: requests per engine batch (a full batch dispatches
-            without waiting out the window).
+        max_batch: the most queued requests one engine batch takes;
+            the batcher never waits to fill it.
         trace_requests: collect per-request engine observations
             (attempt spans, provenance) and stitch complete traces for
             the flight recorder; off, requests still get lifecycle
@@ -114,7 +114,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     queue_limit: int = 256
-    batch_window: float = 0.005
     max_batch: int = 32
     trace_requests: bool = True
     access_log: str | pathlib.Path | None = None
@@ -172,10 +171,16 @@ class AllocationServer:
         self._conn_tasks: set[asyncio.Task] = set()
         self._request_seq = itertools.count(1)
         self._access_log = None
+        #: retry-hint inputs: last batch's duration, running batch's start
+        self._batch_s = 0.0
+        self._running_since: float | None = None
 
     # -- lifecycle -------------------------------------------------------------
 
     async def start(self) -> None:
+        if self.engine.pool is not None:
+            # before the batcher exists: one thread at a time uses the pool
+            self.engine.pool.prespawn()
         if self.config.access_log is not None:
             self._access_log = open(self.config.access_log, "a",
                                     encoding="utf-8")
@@ -440,44 +445,36 @@ class AllocationServer:
         return {"id": request_id, "ok": False, "error": body}
 
     def _retry_after(self) -> float:
-        """The back-off hint for a rejected request: roughly how long
-        the backlog takes to clear one batch's worth of room."""
-        batches_queued = self.queue.qsize() / max(1, self.config.max_batch)
-        return round(self.config.batch_window * (1.0 + batches_queued)
-                     + 0.01, 4)
+        """The back-off hint for a rejected request: the running batch
+        and every queued batch, each priced at the last batch's measured
+        duration or the running batch's elapsed time, plus 10 ms."""
+        running_s = (time.monotonic() - self._running_since
+                     if self._running_since is not None else 0.0)
+        batches = 1 + -(-self.queue.qsize() // max(1, self.config.max_batch))
+        return max(self._batch_s, running_s) * batches + 0.01
 
     # -- the batcher -----------------------------------------------------------
 
     async def _batcher(self) -> None:
-        loop = asyncio.get_running_loop()
+        """Dispatch the queue head plus whatever else is queued, now."""
         while True:
-            head = await self.queue.get()
-            if head is None:
+            batch = [await self.queue.get()]
+            while len(batch) < self.config.max_batch \
+                    and not self.queue.empty():
+                batch.append(self.queue.get_nowait())
+            work = [p for p in batch if p is not None]
+            if work:
+                await self._run_batch(work)
+            if len(work) < len(batch):  # the drain sentinel
                 return
-            head.t_dequeue = time.monotonic()
-            batch = [head]
-            deadline = loop.time() + self.config.batch_window
-            while len(batch) < self.config.max_batch:
-                remaining = deadline - loop.time()
-                if remaining <= 0:
-                    break
-                try:
-                    item = await asyncio.wait_for(self.queue.get(),
-                                                  remaining)
-                except asyncio.TimeoutError:
-                    break
-                if item is None:  # drain sentinel: finish, then stop
-                    await self._run_batch(batch)
-                    return
-                item.t_dequeue = time.monotonic()
-                batch.append(item)
-            await self._run_batch(batch)
 
     async def _run_batch(self, batch: list[_Pending]) -> None:
+        dequeued = time.monotonic()
         self.metrics.counter("serve.batches").inc()
         self.metrics.histogram("serve.batch_size").observe(len(batch))
-        dispatched = time.monotonic()
+        dispatched = self._running_since = time.monotonic()
         for pending in batch:
+            pending.t_dequeue = dequeued
             pending.t_dispatch = dispatched
         loop = asyncio.get_running_loop()
         try:
@@ -488,6 +485,8 @@ class AllocationServer:
             outcomes = {p.key: ("error", {"kind": "internal",
                                           "message": str(exc)})
                         for p in batch}
+        self._batch_s = time.monotonic() - dispatched
+        self._running_since = None
         for pending in batch:
             self.inflight.pop(pending.key, None)
             if not pending.future.done():
@@ -605,18 +604,18 @@ def _parse_addr(addr: str) -> tuple[str, int]:
 def execute_trace(request) -> str:
     """The ``trace`` operation: allocate with the tracer attached and
     render the JSONL document — identical to what ``repro trace
-    --format jsonl`` emits for the same function/machine/mode."""
+    --format jsonl`` emits for the same inputs; every request field
+    reaches the allocation exactly as for ``allocate``."""
+    from ..engine.executor import allocate_request
     from ..ir import parse_function
     from ..obs import Tracer, metrics_from_allocation, trace_to_text
     from ..opt import optimize
-    from ..regalloc import allocate
 
     fn = parse_function(request.ir_text)
     if request.optimize_first:
         optimize(fn)
-    tracer = Tracer(capture_events=True)
-    result = allocate(fn, machine=request.machine, mode=request.mode,
-                      tracer=tracer)
+    result = allocate_request(fn, request,
+                              tracer=Tracer(capture_events=True))
     meta = {"function": result.function.name,
             "mode": result.mode.value,
             "machine": result.machine.name,

@@ -6,7 +6,7 @@ from repro.benchsuite import (ALL_KERNELS, KERNELS_BY_NAME,
                               figure1_function, figure1_pressured,
                               make_twldrv_like)
 from repro.interp import run_function
-from repro.ir import verify_function
+from repro.ir import function_to_text, verify_function
 
 
 class TestRegistry:
@@ -43,6 +43,12 @@ class TestEveryKernel:
         b = run_function(kernel.compile(), args=list(kernel.args))
         assert a.output == b.output
         assert a.steps == b.steps
+
+    def test_ir_text_is_the_printed_compile(self, kernel):
+        # printed once per process, byte-identical to printing a fresh
+        # compile, so request keys and cache entries do not move
+        assert kernel.ir_text() == function_to_text(kernel.compile())
+        assert kernel.ir_text() is kernel.ir_text()
 
     def test_compile_returns_fresh_clones(self, kernel):
         fn1 = kernel.compile()

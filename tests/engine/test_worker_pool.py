@@ -5,8 +5,8 @@ import pickle
 import pytest
 
 from repro.engine import (ExperimentEngine, ExperimentFailure,
-                          ExperimentRequest, WorkerPool, request_key,
-                          run_supervised)
+                          ExperimentRequest, FaultPlan, WorkerPool,
+                          request_key, run_supervised)
 from repro.ir import function_to_text
 from repro.machine import machine_with
 
@@ -23,6 +23,13 @@ def requests(n: int, base: int = 0) -> list[ExperimentRequest]:
 
 def items(reqs):
     return [(request_key(r), r) for r in reqs]
+
+
+def spawn_spans(stats) -> int:
+    """How many attempt spans of a batch carry a ``spawn`` child."""
+    return sum(1 for observation in stats.observations.values()
+               for span in observation.spans
+               for child in span.children if child.name == "spawn")
 
 
 @pytest.fixture
@@ -69,6 +76,39 @@ class TestWarmReuse:
                    for o in out.values())
         assert pool.stats.spawned == 2
         assert stats.worker_spawns == 1
+
+
+class TestPrespawn:
+    def test_prespawned_workers_serve_the_first_batch(self):
+        pool = WorkerPool(2)
+        try:
+            assert pool.prespawn() == 2
+            assert pool.stats.spawned == 2
+            assert pool.prespawn() == 0   # already full
+            out, stats = run_supervised(items(requests(2)), 2, pool=pool)
+            assert all(not isinstance(o, ExperimentFailure)
+                       for o in out.values())
+            assert stats.worker_spawns == 0
+            assert stats.workers_reused == 2
+            assert pool.stats.spawned == 2
+            # no dispatch paid a spawn, even to a worker still importing
+            assert spawn_spans(stats) == 0
+        finally:
+            pool.close()
+
+    def test_failed_prespawn_is_counted_not_raised(self):
+        pool = WorkerPool(1, FaultPlan(spawn_failures=1))
+        try:
+            assert pool.prespawn() == 0
+            assert pool.stats.spawn_failures == 1
+            out, stats = run_supervised(items(requests(1)), 1, pool=pool)
+            assert all(not isinstance(o, ExperimentFailure)
+                       for o in out.values())
+            # the batch spawned the worker the failed prespawn could not
+            assert stats.worker_spawns == 1
+            assert spawn_spans(stats) == 1
+        finally:
+            pool.close()
 
 
 class TestLifecycle:

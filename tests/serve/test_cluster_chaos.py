@@ -91,8 +91,7 @@ def test_killed_dropped_and_garbled_backends_still_answer_exactly_once(
 
     cluster_config = ClusterConfig(
         backends=2, jobs=1, cache_dir=tmp_path / "cache",
-        serve_faults=plan_path,
-        extra_args=("--batch-window", "0.001"))
+        serve_faults=plan_path)
     with ClusterHarness(cluster_config, router_config()) as cluster:
         client = ResilientClient("127.0.0.1", cluster.port,
                                  max_retries=12, backoff=0.05)

@@ -1,7 +1,9 @@
 """End-to-end service observability: stitched cross-process traces,
 the access log, the flight recorder, and quantile agreement."""
 
+import concurrent.futures
 import json
+import multiprocessing
 import pathlib
 
 import pytest
@@ -113,6 +115,25 @@ class TestRecord:
         assert slowest == [0.05, 0.03]  # slowest first, bounded at 2
         assert [e["access"]["id"] for e in dump["failures"]] == \
             ["f1", "f2"]  # most recent failures, bounded at 2
+
+    def test_flight_recorder_stitches_only_what_it_keeps(
+            self, monkeypatch):
+        from repro.serve import observe
+
+        stitched = []
+        monkeypatch.setattr(
+            observe, "stitch_request_trace",
+            lambda record: stitched.append(record.request_id)
+            or stitch_request_trace(record))
+        recorder = FlightRecorder(slots=2)
+        for n, total in enumerate((0.03, 0.01, 0.05, 0.02, 0.04)):
+            recorder.record(RequestRecord(
+                request_id=f"r{n}", op="allocate", t_accept=0.0,
+                t_respond=total))
+        # r3 was faster than both kept entries: never stitched
+        assert stitched == ["r0", "r1", "r2", "r4"]
+        assert [e["access"]["id"] for e in recorder.dump()["slowest"]] \
+            == ["r2", "r4"]
 
 
 def _payload(span: Span) -> dict:
@@ -264,15 +285,38 @@ class TestRetriedRequest:
         assert_well_nested(entry["trace"])
 
 
+def load_in_subprocess(port: int, corpus: list[dict], clients: int,
+                       total_requests: int):
+    """:func:`run_load` in a spawned process, so the load generator's
+    threads never wait on this process's GIL -- the one the server
+    thread (and an in-process engine) holds."""
+    ctx = multiprocessing.get_context("spawn")
+    with concurrent.futures.ProcessPoolExecutor(1, mp_context=ctx) as ex:
+        return ex.submit(run_load, "127.0.0.1", port, corpus,
+                         clients=clients,
+                         total_requests=total_requests).result(timeout=120)
+
+
 class TestQuantileAgreement:
     def test_server_quantiles_within_one_bucket_of_loadgen(self):
+        self.check_agreement(ExperimentEngine(jobs=1, use_cache=False))
+
+    def test_pooled_server_quantiles_within_one_bucket_of_loadgen(self):
+        pool = WorkerPool(1)
+        try:
+            self.check_agreement(ExperimentEngine(jobs=1, use_cache=False,
+                                                  pool=pool))
+        finally:
+            pool.close()
+
+    @staticmethod
+    def check_agreement(engine: ExperimentEngine) -> None:
         # unique requests (distinct args -> distinct keys) so every
         # latency is a real execution, well clear of socket overhead
         corpus = [spec(2000 + n) for n in range(10)]
-        engine = ExperimentEngine(jobs=1, use_cache=False)
         with ServerThread(engine, ServeConfig()) as srv:
-            report = run_load("127.0.0.1", srv.port, corpus,
-                              clients=2, total_requests=len(corpus))
+            report = load_in_subprocess(srv.port, corpus, clients=2,
+                                        total_requests=len(corpus))
             with ServeClient("127.0.0.1", srv.port) as client:
                 snapshot = client.metrics()
         assert report.ok == len(corpus)

@@ -133,6 +133,8 @@ class TestRequestFromJson:
         ({"ir_text": LOOP_TEXT, "repeats": 5}, "unknown request field"),
         ({"ir_text": LOOP_TEXT, "allocator": "linear-scan"},
          "unknown allocator"),
+        ({"ir_text": LOOP_TEXT, "scheme": "no-such"}, "unknown scheme"),
+        ({"ir_text": LOOP_TEXT, "scheme": ["at-phis"]}, "unknown scheme"),
     ])
     def test_rejections(self, spec, fragment):
         with pytest.raises(ProtocolError) as exc:

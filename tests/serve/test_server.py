@@ -2,14 +2,20 @@
 
 import asyncio
 import concurrent.futures
+import json
 import pickle
+import threading
 
 import pytest
 
+from repro.benchsuite import KERNELS_BY_NAME
 from repro.engine import (ExperimentEngine, FaultPlan, SupervisorConfig,
-                          request_key)
-from repro.ir import function_to_text
+                          WorkerPool, executor, request_key)
+from repro.ir import function_to_text, parse_function
 from repro.machine import machine_with
+from repro.opt import optimize
+from repro.regalloc.splitting import SCHEMES
+from repro.remat import RenumberMode
 from repro.serve import (AllocationServer, ServeClient, ServeConfig,
                          ServeError, ServerThread, dumps, execute_trace,
                          request_from_json, summary_to_json)
@@ -108,6 +114,164 @@ class TestAdmission:
         asyncio.run(scenario())
 
 
+class GatedEngine:
+    """An engine stand-in whose ``run_many`` records each batch (by the
+    requests' first argument), then blocks until the test releases it
+    and answers through a real serial engine."""
+
+    pool = None
+
+    def __init__(self):
+        self.inner = serial_engine()
+        self.batches: list[list[int]] = []
+        self.entered = threading.Semaphore(0)
+        self.gate = threading.Semaphore(0)
+
+    def run_many(self, requests, observations=None, deadlines=None):
+        self.batches.append([r.args[0] for r in requests])
+        self.entered.release()
+        if not self.gate.acquire(timeout=10):
+            raise RuntimeError("the test never released this batch")
+        return self.inner.run_many(requests, observations=observations,
+                                   deadlines=deadlines)
+
+    def metrics(self):
+        return self.inner.metrics()
+
+    def open(self) -> None:
+        """Let every batch through, so a failed test cannot hang."""
+        for _ in range(100):
+            self.gate.release()
+
+    async def dispatched(self) -> None:
+        """Wait (off the event loop) until the next batch is running."""
+        loop = asyncio.get_running_loop()
+        assert await loop.run_in_executor(None, self.entered.acquire,
+                                          True, 10), "no batch dispatched"
+
+
+def run_gated(engine: GatedEngine, scenario) -> None:
+    """Run the coroutine function *scenario*, opening the engine's gate
+    however it ends, so a failed assertion cannot hang the test."""
+    async def main():
+        try:
+            await scenario()
+        finally:
+            engine.open()
+
+    asyncio.run(main())
+
+
+def submit(server: AllocationServer, n: int) -> asyncio.Future:
+    return asyncio.ensure_future(server._respond(line("allocate", n)))
+
+
+class TestDispatch:
+    """The batcher dispatches at once and batches only a backlog; it is
+    started by hand over a :class:`GatedEngine`, so every batch's
+    membership is decided by the test, never by a clock."""
+
+    def test_idle_request_dispatches_alone_and_backlog_batches(self):
+        engine = GatedEngine()
+
+        async def scenario():
+            server = AllocationServer(engine, ServeConfig(max_batch=2))
+            batcher = asyncio.ensure_future(server._batcher())
+            first = submit(server, 0)
+            # the moment the batcher has taken the request, a second
+            # one arrives: a lingering batcher would still take it
+            while not server.inflight or not server.queue.empty():
+                await asyncio.sleep(0)
+            second = submit(server, 1)
+            await engine.dispatched()
+            assert engine.batches == [[0]]
+            # queued while the first batch runs: they go out together
+            # as the next batch, capped at max_batch
+            rest = [submit(server, n) for n in (2, 3)]
+            await asyncio.sleep(0)
+            assert server.queue.qsize() == 3
+            engine.gate.release()
+            await engine.dispatched()
+            assert engine.batches[1] == [1, 2]
+            engine.gate.release()
+            await engine.dispatched()
+            assert engine.batches[2] == [3]
+            engine.gate.release()
+            responses = await asyncio.gather(first, second, *rest)
+            assert all(r["ok"] for r in responses)
+            assert server.metrics.counters()["serve.batches"] == 3
+            await server.queue.put(None)
+            await batcher
+
+        run_gated(engine, scenario)
+
+    def test_retry_after_grows_with_queue_depth(self):
+        engine = GatedEngine()
+
+        async def scenario():
+            server = AllocationServer(
+                engine, ServeConfig(queue_limit=2, max_batch=1))
+            batcher = asyncio.ensure_future(server._batcher())
+            # one finished batch gives the server a measured duration
+            first = submit(server, 0)
+            await engine.dispatched()
+            engine.gate.release()
+            assert (await first)["ok"]
+            running = submit(server, 1)
+            await engine.dispatched()
+            # a rejection with nothing queued behind the running batch
+            server.draining = True
+            shallow = await server._respond(line("allocate", 9))
+            server.draining = False
+            queued = [submit(server, n) for n in (2, 3)]
+            await asyncio.sleep(0)
+            assert server.queue.qsize() == 2
+            deep = await server._respond(line("allocate", 4))
+            assert shallow["error"]["kind"] == "draining"
+            assert deep["error"]["kind"] == "overload"
+            assert 0 < shallow["error"]["retry_after"] \
+                < deep["error"]["retry_after"]
+            for _ in range(3):
+                engine.gate.release()
+            assert all(r["ok"] for r in await asyncio.gather(running,
+                                                              *queued))
+            await server.queue.put(None)
+            await batcher
+
+        run_gated(engine, scenario)
+
+    def test_retry_after_prices_a_running_first_batch(self):
+        """Before any batch has finished there is no measured duration;
+        the running batch is priced at its elapsed time instead."""
+        engine = GatedEngine()
+
+        async def scenario():
+            server = AllocationServer(
+                engine, ServeConfig(queue_limit=2, max_batch=1))
+            batcher = asyncio.ensure_future(server._batcher())
+            running = submit(server, 0)
+            await engine.dispatched()
+            server.draining = True
+            shallow = await server._respond(line("allocate", 9))
+            server.draining = False
+            queued = [submit(server, n) for n in (1, 2)]
+            await asyncio.sleep(0)
+            deep = await server._respond(line("allocate", 3))
+            assert shallow["error"]["kind"] == "draining"
+            assert deep["error"]["kind"] == "overload"
+            # more than the 10 ms constant, and growing with the queue
+            assert 0.01 < shallow["error"]["retry_after"] \
+                < deep["error"]["retry_after"]
+            for _ in range(3):
+                engine.gate.release()
+            assert all(r["ok"] for r in await asyncio.gather(running,
+                                                              *queued))
+            await server.queue.put(None)
+            await batcher
+
+        run_gated(engine, scenario)
+
+
 class TestEndToEnd:
     """Socket-level tests through :class:`ServerThread`."""
 
@@ -147,7 +311,7 @@ class TestEndToEnd:
             local.splitlines()[0])["function"]
 
     def test_concurrent_clients_batch_and_agree(self):
-        config = ServeConfig(batch_window=0.05, max_batch=16)
+        config = ServeConfig(max_batch=16)
         with ServerThread(serial_engine(), config) as srv:
             def one(n):
                 with ServeClient("127.0.0.1", srv.port) as client:
@@ -218,3 +382,76 @@ class TestEndToEnd:
         assert counters["engine.memo_hits"] == 1
         assert metrics["queue_depth"] == 0
         assert metrics["inflight"] == 0
+
+    def test_start_spawns_the_whole_pool(self):
+        pool = WorkerPool(2)
+        engine = ExperimentEngine(jobs=2, use_cache=False, pool=pool)
+        try:
+            with ServerThread(engine) as srv:
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    before = client.metrics()["counters"]
+                    client.allocate(**spec(0))
+                    after = client.metrics()["counters"]
+        finally:
+            pool.close()
+        assert before["pool.spawned"] == 2
+        assert after["pool.spawned"] == 2
+        assert after["engine.worker_spawns"] == 0
+
+
+class TestRequestFields:
+    """Every accepted request field reaches ``allocate()``, the same way
+    for ``allocate`` and ``trace``."""
+
+    CASES = {
+        "flags": {"int_regs": 5, "float_regs": 7, "mode": "chaitin",
+                  "optimize_first": True, "biased": False,
+                  "lookahead": False, "coalesce_splits": False,
+                  "optimistic": False},
+        "scheme": {"scheme": "around-all-loops"},
+        "ssa": {"allocator": "ssa"},
+    }
+
+    @pytest.mark.parametrize("op", ["allocate", "trace"])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_field_reaches_allocate(self, monkeypatch, op, case):
+        fields = self.CASES[case]
+        calls = []
+        real = executor.allocate
+
+        def recording(fn, **kwargs):
+            calls.append((function_to_text(fn), kwargs))
+            return real(fn, **kwargs)
+
+        monkeypatch.setattr(executor, "allocate", recording)
+        with ServerThread(serial_engine()) as srv:
+            with ServeClient("127.0.0.1", srv.port) as client:
+                client.call(op, {"kernel": "fehl", **fields})
+        (text, kwargs), = calls
+
+        source = parse_function(KERNELS_BY_NAME["fehl"].ir_text())
+        if fields.get("optimize_first"):
+            optimize(source)
+        assert text == function_to_text(source)
+        int_regs = fields.get("int_regs", 16)
+        assert (kwargs["machine"].int_regs, kwargs["machine"].float_regs) \
+            == (int_regs, fields.get("float_regs", int_regs))
+        scheme = SCHEMES.get(fields.get("scheme"))
+        assert kwargs["mode"] == (scheme.mode if scheme else
+                                  RenumberMode(fields.get("mode", "remat")))
+        assert kwargs["pre_split"] is (scheme.pre_split if scheme else None)
+        for name in ("biased", "lookahead", "coalesce_splits",
+                     "optimistic"):
+            assert kwargs[name] is fields.get(name, True), name
+        assert kwargs["allocator"] == fields.get("allocator", "iterated")
+
+    def test_served_ssa_trace_records_ssa_decisions(self):
+        with ServerThread(serial_engine()) as srv:
+            with ServeClient("127.0.0.1", srv.port) as client:
+                text = client.trace(kernel="fehl", int_regs=6,
+                                    float_regs=6, allocator="ssa")
+        lines = [json.loads(raw) for raw in text.splitlines()]
+        root = next(obj for obj in lines if obj["type"] == "span")
+        assert root["attrs"]["allocator"] == "ssa"
+        kinds = {obj["kind"] for obj in lines if obj["type"] == "event"}
+        assert {"maxlive_pressure", "ssa_spill_decision"} <= kinds
