@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from repro.ir import Function, IRBuilder
+from repro.interp import SD_BASE
+from repro.ir import (Function, ImmKind, Instruction, IRBuilder, Opcode, Reg,
+                      RegClass)
 
 
 def straight_line() -> Function:
@@ -209,3 +211,53 @@ def naive_live_in(fn: Function) -> dict[str, set]:
                 live_in[label] = new
                 changed = True
     return live_in
+
+
+#: source positions that hold an address, per opcode
+_ADDRESS_SOURCES = {
+    Opcode.LDW: 0, Opcode.LDWO: 0, Opcode.FLD: 0, Opcode.FLDO: 0,
+    Opcode.STW: 1, Opcode.STWO: 1, Opcode.FST: 1, Opcode.FSTO: 1,
+}
+
+
+def single_op(opcode: Opcode, dest_classes=None, src_classes=None,
+              imms=None, values=None) -> Function:
+    """One *opcode* instruction built with ``Instruction(...)`` (so nothing
+    validates it), its sources defined first and its destinations emitted
+    by ``out``/``fout``; control opcodes branch to the ``exit`` block.
+
+    Register classes default to the opcode's signature, immediates to 0
+    (1.5 for float immediates).  Source *i* holds ``values[i]`` converted
+    to its register's class; by default an address operand holds
+    :data:`SD_BASE` and any other source 3."""
+    info = opcode.info
+    dest_classes = info.dests if dest_classes is None else dest_classes
+    src_classes = info.srcs if src_classes is None else src_classes
+    if imms is None:
+        imms = [0 if kind is ImmKind.INT else 1.5 for kind in info.imms]
+    fn = Function("single")
+    entry, done = fn.add_block("entry"), fn.add_block("exit")
+    srcs = []
+    for i, cls in enumerate(src_classes):
+        reg = Reg(cls, 10 + i)
+        if values is not None:
+            value = values[i]
+        else:
+            value = SD_BASE if _ADDRESS_SOURCES.get(opcode) == i else 3
+        if cls is RegClass.INT:
+            entry.append(Instruction(Opcode.LDI, [reg], imms=[int(value)]))
+        else:
+            entry.append(Instruction(Opcode.LDF, [reg],
+                                     imms=[float(value)]))
+        srcs.append(reg)
+    dests = [Reg(cls, 20 + i) for i, cls in enumerate(dest_classes)]
+    entry.append(Instruction(opcode, dests, srcs, imms,
+                             ["exit"] * info.n_labels))
+    for reg in dests:
+        entry.append(Instruction(
+            Opcode.OUT if reg.rclass is RegClass.INT else Opcode.FOUT,
+            srcs=[reg]))
+    if not info.is_terminator:
+        entry.append(Instruction(Opcode.JMP, labels=["exit"]))
+    done.append(Instruction(Opcode.RET))
+    return fn

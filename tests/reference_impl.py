@@ -1,5 +1,5 @@
-"""The seed's set-based liveness and interference-graph implementations,
-kept verbatim as a reference oracle.
+"""The seed's set-based liveness, interference-graph and interpreter
+implementations, kept verbatim as reference oracles.
 
 The production code in :mod:`repro.analysis.liveness` and
 :mod:`repro.regalloc.interference` runs on dense int bitsets; the
@@ -10,6 +10,9 @@ check it against — and time it against — these originals.
 pre-incremental color phases (linear candidate rescan, per-neighbor
 forbidden sets) so the scaling bench can race the current allocator
 end to end against the from-scratch configuration it replaced.
+
+:class:`RefInterpreter` is the seed's per-instruction ILOC interpreter,
+the oracle for :mod:`repro.interp`'s decode-once interpreter.
 """
 
 from __future__ import annotations
@@ -17,7 +20,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.ir import Function, Instruction, Reg
+from repro.interp import (FP_BASE, InterpreterError, RunResult, SD_BASE,
+                          UninitializedRegister, WORD)
+from repro.ir import (CountClass, Function, Instruction, Opcode, Reg,
+                      RegClass)
 from repro.machine import MachineDescription
 from repro.obs import NULL_TRACER
 from repro.regalloc.interference import InterferenceGraph
@@ -315,8 +321,6 @@ def ref_block_maxlive(fn: Function) -> dict[str, dict]:
     set) — and takes the per-class maximum of plain ``len``-style set
     counting.  No bitsets, no shared scan helpers.
     """
-    from repro.ir import RegClass
-
     live = ref_compute_liveness(fn)
     result: dict[str, dict] = {}
     for blk in fn.blocks:
@@ -342,3 +346,269 @@ def ref_block_maxlive(fn: Function) -> dict[str, dict]:
                       for point in points), default=0)
             for cls in (RegClass.INT, RegClass.FLOAT)}
     return result
+
+
+# -- the seed interpreter, kept verbatim ---------------------------------------
+#
+# The production interpreter in :mod:`repro.interp` decodes each block once
+# into pre-bound closures and counts per block; this is the per-instruction
+# ``if``/``elif`` interpreter it replaced.  The equivalence tests in
+# ``tests/interp/test_oracle.py`` require identical results (or the same
+# exception class and message) from both, and
+# ``benchmarks/bench_infrastructure.py`` races them.  The exception classes,
+# :class:`RunResult` and the address constants are shared with
+# :mod:`repro.interp`, so results and errors compare directly.
+
+def _truncdiv(a: int, b: int) -> int:
+    """C-style integer division (truncation toward zero)."""
+    q = abs(a) // abs(b)
+    return q if (a >= 0) == (b >= 0) else -q
+
+
+class RefInterpreter:
+    """Executes one function.
+
+    Parameters:
+        fn: the function to run (virtual or physical registers — any
+            well-formed ILOC works).
+        args: integer/float arguments read by ``param``/``fparam``.
+        const_pool: mapping offset -> value backing ``cldw``/``cldf``.
+        max_steps: dynamic instruction budget before
+            :class:`InterpreterError`.
+    """
+
+    def __init__(self, fn: Function, args: list | None = None,
+                 const_pool: dict[int, object] | None = None,
+                 max_steps: int = 50_000_000) -> None:
+        self.fn = fn
+        self.args = list(args or [])
+        self.const_pool = dict(const_pool or {})
+        self.max_steps = max_steps
+        self.registers: dict[Reg, object] = {}
+        self.memory: dict[int, object] = {}
+        self.output: list = []
+        self.counts: dict[CountClass, int] = {}
+        self.opcode_counts: dict[Opcode, int] = {}
+        self.steps = 0
+
+    # -- register file ----------------------------------------------------------
+
+    def _read(self, reg: Reg):
+        try:
+            return self.registers[reg]
+        except KeyError:
+            raise UninitializedRegister(
+                f"read of uninitialized register {reg}") from None
+
+    def _write(self, reg: Reg, value) -> None:
+        if reg.rclass is RegClass.INT:
+            if not isinstance(value, int):
+                raise InterpreterError(
+                    f"non-integer value {value!r} written to {reg}")
+        else:
+            value = float(value)
+        self.registers[reg] = value
+
+    # -- memory ------------------------------------------------------------------
+
+    def _load(self, addr: int, rclass: RegClass):
+        if not isinstance(addr, int):
+            raise InterpreterError(f"non-integer address {addr!r}")
+        value = self.memory.get(addr)
+        if value is None:
+            value = 0 if rclass is RegClass.INT else 0.0
+        return value
+
+    def _store(self, addr: int, value) -> None:
+        if not isinstance(addr, int):
+            raise InterpreterError(f"non-integer address {addr!r}")
+        self.memory[addr] = value
+
+    def _spill_addr(self, slot: int) -> int:
+        return FP_BASE - WORD * (slot + 1)
+
+    # -- execution -----------------------------------------------------------------
+
+    def run(self) -> RunResult:
+        """Execute from the entry block until ``ret``."""
+        label = self.fn.entry.label
+        while True:
+            blk = self.fn.block(label)
+            next_label: str | None = None
+            for inst in blk.instructions:
+                self.steps += 1
+                if self.steps > self.max_steps:
+                    raise InterpreterError(
+                        f"exceeded {self.max_steps} steps in {self.fn.name}")
+                cls = inst.info.count_class
+                self.counts[cls] = self.counts.get(cls, 0) + 1
+                self.opcode_counts[inst.opcode] = (
+                    self.opcode_counts.get(inst.opcode, 0) + 1)
+                next_label = self._execute(inst)
+                if next_label is not None:
+                    break
+                if inst.opcode is Opcode.RET:
+                    return RunResult(output=self.output, counts=self.counts,
+                                     opcode_counts=self.opcode_counts,
+                                     steps=self.steps, memory=self.memory)
+            if next_label is None:
+                raise InterpreterError(
+                    f"block {label} fell through without terminator")
+            label = next_label
+
+    def _execute(self, inst: Instruction) -> str | None:
+        """Execute one instruction; return a branch target or ``None``."""
+        op = inst.opcode
+        read = self._read
+        if op is Opcode.LDI:
+            self._write(inst.dest, inst.imms[0])
+        elif op is Opcode.LDF:
+            self._write(inst.dest, float(inst.imms[0]))
+        elif op is Opcode.LFP:
+            self._write(inst.dest, FP_BASE + inst.imms[0])
+        elif op is Opcode.LSD:
+            self._write(inst.dest, SD_BASE + inst.imms[0])
+        elif op is Opcode.CLDW:
+            value = self.const_pool.get(inst.imms[0], 0)
+            if not isinstance(value, int):
+                raise InterpreterError(
+                    f"cldw of non-int constant at {inst.imms[0]}")
+            self._write(inst.dest, value)
+        elif op is Opcode.CLDF:
+            value = self.const_pool.get(inst.imms[0], 0.0)
+            self._write(inst.dest, float(value))
+        elif op in (Opcode.PARAM, Opcode.FPARAM):
+            idx = inst.imms[0]
+            if idx >= len(self.args):
+                raise InterpreterError(f"missing argument {idx}")
+            value = self.args[idx]
+            if op is Opcode.PARAM:
+                if not isinstance(value, int):
+                    raise InterpreterError(f"argument {idx} is not int")
+                self._write(inst.dest, value)
+            else:
+                self._write(inst.dest, float(value))
+        elif op is Opcode.ADD:
+            self._write(inst.dest, read(inst.srcs[0]) + read(inst.srcs[1]))
+        elif op is Opcode.SUB:
+            self._write(inst.dest, read(inst.srcs[0]) - read(inst.srcs[1]))
+        elif op is Opcode.MUL:
+            self._write(inst.dest, read(inst.srcs[0]) * read(inst.srcs[1]))
+        elif op is Opcode.DIV:
+            b = read(inst.srcs[1])
+            if b == 0:
+                raise InterpreterError("integer division by zero")
+            self._write(inst.dest, _truncdiv(read(inst.srcs[0]), b))
+        elif op is Opcode.NEG:
+            self._write(inst.dest, -read(inst.src))
+        elif op is Opcode.ADDI:
+            self._write(inst.dest, read(inst.src) + inst.imms[0])
+        elif op is Opcode.SUBI:
+            self._write(inst.dest, read(inst.src) - inst.imms[0])
+        elif op is Opcode.MULI:
+            self._write(inst.dest, read(inst.src) * inst.imms[0])
+        elif op is Opcode.CMP_LT:
+            self._write(inst.dest,
+                        int(read(inst.srcs[0]) < read(inst.srcs[1])))
+        elif op is Opcode.CMP_LE:
+            self._write(inst.dest,
+                        int(read(inst.srcs[0]) <= read(inst.srcs[1])))
+        elif op is Opcode.CMP_GT:
+            self._write(inst.dest,
+                        int(read(inst.srcs[0]) > read(inst.srcs[1])))
+        elif op is Opcode.CMP_GE:
+            self._write(inst.dest,
+                        int(read(inst.srcs[0]) >= read(inst.srcs[1])))
+        elif op is Opcode.CMP_EQ:
+            self._write(inst.dest,
+                        int(read(inst.srcs[0]) == read(inst.srcs[1])))
+        elif op is Opcode.CMP_NE:
+            self._write(inst.dest,
+                        int(read(inst.srcs[0]) != read(inst.srcs[1])))
+        elif op is Opcode.FADD:
+            self._write(inst.dest, read(inst.srcs[0]) + read(inst.srcs[1]))
+        elif op is Opcode.FSUB:
+            self._write(inst.dest, read(inst.srcs[0]) - read(inst.srcs[1]))
+        elif op is Opcode.FMUL:
+            self._write(inst.dest, read(inst.srcs[0]) * read(inst.srcs[1]))
+        elif op is Opcode.FDIV:
+            b = read(inst.srcs[1])
+            if b == 0.0:
+                raise InterpreterError("float division by zero")
+            self._write(inst.dest, read(inst.srcs[0]) / b)
+        elif op is Opcode.FABS:
+            self._write(inst.dest, abs(read(inst.src)))
+        elif op is Opcode.FNEG:
+            self._write(inst.dest, -read(inst.src))
+        elif op in (Opcode.FCMP_LT, Opcode.FCMP_LE, Opcode.FCMP_GT,
+                    Opcode.FCMP_GE, Opcode.FCMP_EQ, Opcode.FCMP_NE):
+            a, b = read(inst.srcs[0]), read(inst.srcs[1])
+            result = {
+                Opcode.FCMP_LT: a < b, Opcode.FCMP_LE: a <= b,
+                Opcode.FCMP_GT: a > b, Opcode.FCMP_GE: a >= b,
+                Opcode.FCMP_EQ: a == b, Opcode.FCMP_NE: a != b,
+            }[op]
+            self._write(inst.dest, int(result))
+        elif op is Opcode.I2F:
+            self._write(inst.dest, float(read(inst.src)))
+        elif op is Opcode.F2I:
+            self._write(inst.dest, int(read(inst.src)))
+        elif op is Opcode.LDW:
+            self._write(inst.dest, self._load(read(inst.src), RegClass.INT))
+        elif op is Opcode.LDWO:
+            addr = read(inst.src) + inst.imms[0]
+            self._write(inst.dest, self._load(addr, RegClass.INT))
+        elif op is Opcode.STW:
+            self._store(read(inst.srcs[1]), read(inst.srcs[0]))
+        elif op is Opcode.STWO:
+            self._store(read(inst.srcs[1]) + inst.imms[0],
+                        read(inst.srcs[0]))
+        elif op is Opcode.FLD:
+            self._write(inst.dest, self._load(read(inst.src), RegClass.FLOAT))
+        elif op is Opcode.FLDO:
+            addr = read(inst.src) + inst.imms[0]
+            self._write(inst.dest, self._load(addr, RegClass.FLOAT))
+        elif op is Opcode.FST:
+            self._store(read(inst.srcs[1]), read(inst.srcs[0]))
+        elif op is Opcode.FSTO:
+            self._store(read(inst.srcs[1]) + inst.imms[0],
+                        read(inst.srcs[0]))
+        elif op is Opcode.SPLD:
+            self._write(inst.dest,
+                        self._load(self._spill_addr(inst.imms[0]),
+                                   RegClass.INT))
+        elif op is Opcode.SPST:
+            self._store(self._spill_addr(inst.imms[0]), read(inst.src))
+        elif op is Opcode.FSPLD:
+            self._write(inst.dest,
+                        self._load(self._spill_addr(inst.imms[0]),
+                                   RegClass.FLOAT))
+        elif op is Opcode.FSPST:
+            self._store(self._spill_addr(inst.imms[0]), read(inst.src))
+        elif op in (Opcode.COPY, Opcode.FCOPY, Opcode.SPLIT, Opcode.FSPLIT):
+            self._write(inst.dest, read(inst.src))
+        elif op is Opcode.JMP:
+            return inst.labels[0]
+        elif op is Opcode.CBR:
+            return inst.labels[0] if read(inst.src) != 0 else inst.labels[1]
+        elif op is Opcode.RET:
+            return None
+        elif op is Opcode.OUT:
+            self.output.append(read(inst.src))
+        elif op is Opcode.FOUT:
+            self.output.append(read(inst.src))
+        elif op is Opcode.NOP:
+            pass
+        elif op is Opcode.PHI:
+            raise InterpreterError("phi reached the interpreter")
+        else:  # pragma: no cover - the opcode table is closed
+            raise InterpreterError(f"unimplemented opcode {op}")
+        return None
+
+
+def ref_run_function(fn: Function, args: list | None = None,
+                 const_pool: dict[int, object] | None = None,
+                 max_steps: int = 50_000_000) -> RunResult:
+    """Convenience wrapper: interpret *fn* and return the result."""
+    return RefInterpreter(fn, args=args, const_pool=const_pool,
+                       max_steps=max_steps).run()

@@ -312,8 +312,11 @@ class TestQuantileAgreement:
     @staticmethod
     def check_agreement(engine: ExperimentEngine) -> None:
         # unique requests (distinct args -> distinct keys) so every
-        # latency is a real execution, well clear of socket overhead
-        corpus = [spec(2000 + n) for n in range(10)]
+        # latency is a real execution, well clear of socket overhead and
+        # of the up to one GIL switch interval (5 ms) an in-process
+        # engine's executor thread can keep the loop from reading the
+        # next request: one 50,000-trip execution takes ~18 ms
+        corpus = [spec(50_000 + n) for n in range(10)]
         with ServerThread(engine, ServeConfig()) as srv:
             report = load_in_subprocess(srv.port, corpus, clients=2,
                                         total_requests=len(corpus))

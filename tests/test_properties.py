@@ -1,8 +1,9 @@
 """End-to-end property tests: the allocator never changes behavior.
 
 Random structured programs are interpreted before allocation (unlimited
-virtual registers) and after allocation under every renumber mode and
-several register-file sizes; the observable output must match exactly.
+virtual registers) and after allocation under every renumber mode, both
+allocator strategies and several register-file sizes; the observable
+output must match exactly.
 This single property transitively validates SSA construction, tag
 propagation, splitting, coalescing, coloring, biased selection and spill
 code.
@@ -15,7 +16,7 @@ from repro.benchsuite import GeneratorConfig, random_program
 from repro.interp import run_function
 from repro.ir import verify_function
 from repro.machine import machine_with
-from repro.regalloc import allocate
+from repro.regalloc import ALLOCATOR_NAMES, allocate
 from repro.remat import RenumberMode
 
 
@@ -49,11 +50,13 @@ def test_allocation_preserves_output(seed, mode):
 
 
 @pytest.mark.parametrize("k", [5, 8, 16])
-def test_allocation_across_register_files(k):
+@pytest.mark.parametrize("allocator", ALLOCATOR_NAMES)
+def test_allocation_across_register_files(allocator, k):
     for seed in range(8):
         fn = random_program(seed + 100)
         expected = outputs_of(fn.clone())
-        result = allocate(fn, machine=machine_with(k, k))
+        result = allocate(fn, machine=machine_with(k, k),
+                          allocator=allocator)
         assert outputs_of(result.function) == expected, seed
 
 
@@ -62,13 +65,14 @@ def test_allocation_across_register_files(k):
 @given(seed=st.integers(0, 10_000),
        n_vars=st.integers(2, 8),
        max_depth=st.integers(1, 3),
-       k=st.integers(4, 10))
-def test_hypothesis_random_shapes(seed, n_vars, max_depth, k):
+       k=st.integers(4, 10),
+       allocator=st.sampled_from(ALLOCATOR_NAMES))
+def test_hypothesis_random_shapes(seed, n_vars, max_depth, k, allocator):
     config = GeneratorConfig(n_vars=n_vars, max_depth=max_depth)
     fn = random_program(seed, config)
     expected = outputs_of(fn.clone())
     result = allocate(fn, machine=machine_with(k, k),
-                      mode=RenumberMode.REMAT)
+                      mode=RenumberMode.REMAT, allocator=allocator)
     verify_function(result.function, require_physical=True, max_int_reg=k,
                     max_float_reg=k)
     assert outputs_of(result.function) == expected
