@@ -19,16 +19,6 @@ breakdown the instrumented server reports land in the results file.
 The access log and flight-recorder dump are written under
 ``benchmarks/results/`` so CI uploads them as artifacts.
 
-A third arm prices the cluster front-end: warm 64-client throughput
-through ``--backends 1`` (router + one backend) must stay within 10%
-of a direct single server, and ``--backends 2`` must beat the
-one-backend cluster by at least 1.4x.  Load for this arm comes from
-several ``repro.serve.loadgen`` subprocesses so the GIL-bound client
-side cannot mask backend scaling.  Each ratio gate runs only where every
-process its arms start — router, backends and load generators — has a
-core of its own; elsewhere it reports as skipped (the measurements still
-land in the results file).
-
 Writes latency percentiles and throughput per scenario to
 ``benchmarks/results/BENCH_serve.json``.
 """
@@ -39,7 +29,6 @@ import signal
 import statistics
 import subprocess
 import sys
-import time
 
 import pytest
 
@@ -48,9 +37,6 @@ from repro.serve import (PHASES, ServeClient, dumps, request_from_json,
                          run_load, summary_to_json)
 
 POOL_SIZE = min(4, os.cpu_count() or 1)
-EFFECTIVE_CPUS = (len(os.sched_getaffinity(0))
-                  if hasattr(os, "sched_getaffinity")
-                  else os.cpu_count() or 1)
 KERNELS = ("zeroin", "fehl", "spline", "decomp")
 WARM_REQUESTS = 100
 CLIENT_COUNTS = (1, 8, 64)
@@ -63,17 +49,6 @@ CLIENT_COUNTS = (1, 8, 64)
 OVERHEAD_PAIRS = 41
 OVERHEAD_REQUESTS = 1500
 OVERHEAD_BUDGET = 0.05
-CLUSTER_OVERHEAD_BUDGET = 0.10
-CLUSTER_SCALING_FLOOR = 1.4
-CLUSTER_ROUNDS = 3
-CLUSTER_CLIENTS = 64
-CLUSTER_REQUESTS = 192
-CLUSTER_LOAD_PROCS = 2
-#: cores each cluster gate needs: one per process its arms run at once
-#: (router + backends + load generators); with fewer, the ratio measures
-#: timeslicing rather than routing cost or backend scaling
-OVERHEAD_CPUS = 1 + 1 + CLUSTER_LOAD_PROCS
-SCALING_CPUS = 1 + 2 + CLUSTER_LOAD_PROCS
 
 
 def corpus() -> list[dict]:
@@ -99,26 +74,6 @@ def stop_server(server: dict) -> None:
     proc.send_signal(signal.SIGTERM)
     proc.wait(timeout=60)
     proc.stdout.close()
-
-
-def boot_cluster(cache_dir, backends: int) -> dict:
-    """Boot ``repro serve --backends N`` and wait until the router's
-    health probes report every backend up (the router announces its
-    port before the first probe lands)."""
-    handle = boot_server(cache_dir, "--backends", str(backends))
-    deadline = time.monotonic() + 120.0
-    while True:
-        try:
-            with ServeClient("127.0.0.1", handle["port"]) as probe:
-                if probe.call("ping").get("healthy", 0) >= backends:
-                    return handle
-        except (ConnectionError, OSError):
-            pass
-        if time.monotonic() > deadline:
-            stop_server(handle)
-            raise AssertionError(
-                f"cluster of {backends} never reported healthy")
-        time.sleep(0.05)
 
 
 @pytest.fixture(scope="module")
@@ -325,118 +280,3 @@ def test_observability_overhead_and_phase_breakdown(
     print(f"\n{json.dumps(payload['observability'], indent=2)}"
           f"\n[saved to {path}]")
 
-
-def _fanout_throughput(port: int) -> float:
-    """Aggregate warm throughput measured by ``CLUSTER_LOAD_PROCS``
-    concurrent ``repro.serve.loadgen`` processes.  Separate processes
-    keep the client side off one GIL, so the server arms — not the
-    load generator — stay the bottleneck being measured."""
-    per_proc_clients = CLUSTER_CLIENTS // CLUSTER_LOAD_PROCS
-    per_proc_requests = CLUSTER_REQUESTS // CLUSTER_LOAD_PROCS
-    procs = [subprocess.Popen(
-        [sys.executable, "-m", "repro.serve.loadgen",
-         "--port", str(port), "--clients", str(per_proc_clients),
-         "--requests", str(per_proc_requests),
-         "--kernels", ",".join(KERNELS), "--k", "8"],
-        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
-        for _ in range(CLUSTER_LOAD_PROCS)]
-    total = 0.0
-    for proc in procs:
-        out, _ = proc.communicate(timeout=300)
-        assert proc.returncode == 0, out
-        report = json.loads(out)
-        assert report["failed"] == 0, report
-        total += report["throughput_rps"]
-    return total
-
-
-@pytest.fixture(scope="module")
-def cluster_runs(tmp_path_factory, results_dir) -> dict:
-    """The cluster front-end's price and payoff, interleaved best-of-3
-    over warm caches: direct single-server throughput against
-    ``--backends 1`` and ``--backends 2``.  Writes every round and the
-    ratios to ``BENCH_serve.json`` whether or not the gates can run."""
-    arms = {
-        "direct": boot_server(tmp_path_factory.mktemp("cluster-direct")),
-        "cluster_1": boot_cluster(
-            tmp_path_factory.mktemp("cluster-one"), 1),
-        "cluster_2": boot_cluster(
-            tmp_path_factory.mktemp("cluster-two"), 2),
-    }
-    runs: dict[str, list[float]] = {name: [] for name in arms}
-    try:
-        # prime every arm so the measured rounds serve memo hits only
-        for name, handle in arms.items():
-            prime = run_load("127.0.0.1", handle["port"], corpus(),
-                             clients=1, total_requests=len(corpus()))
-            assert prime.failed == 0, (name, prime)
-
-        # interleave the arms so machine drift hits all three equally
-        for _ in range(CLUSTER_ROUNDS):
-            for name, handle in arms.items():
-                runs[name].append(_fanout_throughput(handle["port"]))
-
-        with ServeClient("127.0.0.1", arms["cluster_2"]["port"]) as probe:
-            counters = probe.metrics()["counters"]
-    finally:
-        for handle in arms.values():
-            stop_server(handle)
-
-    measured = {
-        "runs": runs, "counters": counters,
-        "overhead": 1.0 - max(runs["cluster_1"]) / max(runs["direct"]),
-        "scaling": max(runs["cluster_2"]) / max(runs["cluster_1"]),
-    }
-    path = results_dir / "BENCH_serve.json"
-    payload = json.loads(path.read_text()) if path.exists() else {}
-    payload["cluster"] = {
-        "effective_cpus": EFFECTIVE_CPUS,
-        "clients": CLUSTER_CLIENTS,
-        "requests_per_round": CLUSTER_REQUESTS,
-        "load_processes": CLUSTER_LOAD_PROCS,
-        "overhead_budget": CLUSTER_OVERHEAD_BUDGET,
-        "routing_overhead_best_of_3": round(measured["overhead"], 4),
-        "scaling_floor": CLUSTER_SCALING_FLOOR,
-        "scaling_2_vs_1_best_of_3": round(measured["scaling"], 4),
-        "gates_enforced": {"overhead": EFFECTIVE_CPUS >= OVERHEAD_CPUS,
-                           "scaling": EFFECTIVE_CPUS >= SCALING_CPUS},
-        "cores_needed": {"overhead": OVERHEAD_CPUS,
-                         "scaling": SCALING_CPUS},
-        "throughput_rps": {name: [round(t, 1) for t in series]
-                           for name, series in runs.items()},
-    }
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\n{json.dumps(payload['cluster'], indent=2)}"
-          f"\n[saved to {path}]")
-    return measured
-
-
-def test_cluster_routes_through_backends(cluster_runs):
-    """The two-backend cluster really answered through the router."""
-    counters = cluster_runs["counters"]
-    forwarded = counters.get("router.forwarded", 0)
-    assert forwarded >= CLUSTER_ROUNDS * CLUSTER_REQUESTS, counters
-    assert counters.get("router.failovers", 0) == 0, counters
-
-
-@pytest.mark.skipif(
-    EFFECTIVE_CPUS < OVERHEAD_CPUS,
-    reason=f"routing overhead gate needs {OVERHEAD_CPUS} cores (router, "
-           f"backend, {CLUSTER_LOAD_PROCS} load generators); "
-           f"{EFFECTIVE_CPUS} available")
-def test_cluster_routing_overhead(cluster_runs):
-    """Routing through ``--backends 1`` costs at most 10% of direct
-    single-server throughput (the fault-free overhead gate)."""
-    assert cluster_runs["overhead"] <= CLUSTER_OVERHEAD_BUDGET, \
-        cluster_runs["runs"]
-
-
-@pytest.mark.skipif(
-    EFFECTIVE_CPUS < SCALING_CPUS,
-    reason=f"2-backend scaling gate needs {SCALING_CPUS} cores (router, "
-           f"2 backends, {CLUSTER_LOAD_PROCS} load generators); "
-           f"{EFFECTIVE_CPUS} available")
-def test_cluster_scaling(cluster_runs):
-    """``--backends 2`` beats the one-backend cluster by >= 1.4x."""
-    assert cluster_runs["scaling"] >= CLUSTER_SCALING_FLOOR, \
-        cluster_runs["runs"]

@@ -28,9 +28,10 @@ Commands
   persistent result cache and its ``quarantine/`` directory (``gc``
   also migrates legacy flat entries into their shards)
 * ``serve``             — run the persistent allocation server: a worker
-  pool spawned at start plus the shared result cache behind a JSONL/TCP
-  protocol with admission control and work-conserving batching (no
-  linger: batches form only under backlog); ``--access-log`` /
+  pool spawned at start plus the shared result cache behind one
+  JSONL/TCP front end with admission control, per-client fair
+  admission, deadlines and work-conserving batching (no linger:
+  batches form only under backlog); ``--access-log`` /
   ``--metrics-addr`` / ``--flight-dump`` wire up the service
   observability described in ``docs/observability.md`` (see
   ``docs/serving.md``)
@@ -383,46 +384,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     def announce(host: str, port: int) -> None:
         print(f"# serving on {host}:{port}", flush=True)
 
-    if args.backends >= 1:
-        # cluster mode: this process becomes the router; the backends
-        # are repro serve subprocesses it spawns and supervises.
-        # --backends 1 still routes (useful to measure routing cost);
-        # the default (0) serves directly from this process.
-        from .serve.cluster import ClusterConfig, run_cluster
-        from .serve.router import RouterConfig
-
-        extra: list[str] = ["--queue-limit", str(args.queue_limit),
-                            "--max-batch", str(args.max_batch)]
-        if args.no_cache:
-            extra.append("--no-cache")
-        if args.no_request_tracing:
-            extra.append("--no-request-tracing")
-        if args.timeout is not None:
-            extra += ["--timeout", str(args.timeout)]
-        extra += ["--retries", str(args.retries)]
-        jobs = args.jobs if args.jobs is not None else \
-            max(1, (os.cpu_count() or 1) // args.backends)
-        return run_cluster(
-            ClusterConfig(backends=args.backends, jobs=jobs,
-                          cache_dir=args.cache_dir,
-                          serve_faults=args.serve_faults,
-                          extra_args=tuple(extra)),
-            RouterConfig(host=args.host, port=args.port,
-                         shed_low=args.shed_low,
-                         shed_high=args.shed_high,
-                         bucket_rate=args.client_rate,
-                         bucket_burst=args.client_burst),
-            announce=announce)
-
-    fault_plan = None
-    if args.serve_faults is not None:
-        import json
-
-        from .engine import ServeFaultPlan
-
-        with open(args.serve_faults, encoding="utf-8") as handle:
-            fault_plan = ServeFaultPlan.from_json(json.load(handle))
-
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     pool = WorkerPool(jobs)
     engine = ExperimentEngine(
@@ -439,9 +400,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                          access_log=args.access_log,
                          flight_slots=args.flight_slots,
                          flight_dump=args.flight_dump,
-                         metrics_addr=args.metrics_addr,
-                         backend_id=args.backend_id,
-                         fault_plan=fault_plan)
+                         metrics_addr=args.metrics_addr)
 
     def announce_metrics(host: str, port: int) -> None:
         print(f"# metrics on http://{host}:{port}/metrics", flush=True)
@@ -582,11 +541,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run the persistent allocation "
                                      "server (JSONL over TCP)",
                        description="Serve allocation requests as JSONL "
-                                   "over TCP.  The worker pool (--jobs) "
-                                   "is spawned at start; each batch is "
-                                   "dispatched as soon as the previous "
-                                   "one finishes, taking every request "
-                                   "queued meanwhile (up to --max-batch).")
+                                   "over TCP from this one process.  The "
+                                   "worker pool (--jobs) is spawned at "
+                                   "start; each batch is dispatched as "
+                                   "soon as the previous one finishes, "
+                                   "taking every request queued "
+                                   "meanwhile (up to --max-batch).  "
+                                   "Requests that name a v2 'client' "
+                                   "are metered per client (500/s, "
+                                   "bursts of 250); a spent 'deadline_s' "
+                                   "is answered 'expired'.")
     p.add_argument("--host", default="127.0.0.1",
                    help="listen address (default 127.0.0.1)")
     p.add_argument("--port", type=int, default=0,
@@ -617,35 +581,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-request-tracing", action="store_true",
                    help="skip per-request span stitching (lifecycle "
                         "stamps and latency histograms stay on)")
-    p.add_argument("--backends", type=int, default=0, metavar="N",
-                   help="run N backend server processes behind a "
-                        "consistent-hash router with health checks, "
-                        "failover and restart; N=1 routes to a lone "
-                        "backend (measures routing cost), the default "
-                        "(0) serves directly from this process")
-    p.add_argument("--backend-id", default=None, metavar="NAME",
-                   help="this server's name within a cluster (set by "
-                        "the cluster supervisor; stamps the metrics "
-                        "snapshot)")
-    p.add_argument("--shed-low", type=int, default=64, metavar="N",
-                   help="cluster mode: per-backend in-flight depth "
-                        "where probabilistic load shedding starts "
-                        "(default 64)")
-    p.add_argument("--shed-high", type=int, default=256, metavar="N",
-                   help="cluster mode: in-flight depth where shedding "
-                        "reaches 100%% (default 256)")
-    p.add_argument("--client-rate", type=float, default=500.0,
-                   metavar="N",
-                   help="cluster mode: fair-admission tokens per "
-                        "second per client (default 500)")
-    p.add_argument("--client-burst", type=float, default=250.0,
-                   metavar="N",
-                   help="cluster mode: fair-admission burst capacity "
-                        "per client (default 250)")
-    p.add_argument("--serve-faults", default=None, metavar="FILE",
-                   help="chaos runs: load a ServeFaultPlan JSON and "
-                        "inject its backend kills / accept stalls / "
-                        "dropped and garbled replies")
     _add_engine(p)
     p.set_defaults(func=cmd_serve)
 

@@ -7,7 +7,8 @@ on-disk cache (checksummed envelopes; corrupt entries quarantine as
 misses), or a supervised worker pool with timeouts, bounded retries and
 poison-request quarantine — see ``engine.py`` for the resolution order,
 ``request.py`` for the keying rules, ``supervisor.py`` for the failure
-model, and ``faults.py`` for the deterministic chaos harness.
+model, and ``faults.py`` for the deterministic chaos harness of the
+workers, the supervisor and the cache.
 """
 
 from .cache import (CacheStats, ResultCache, SHARD_WIDTH,
@@ -16,7 +17,6 @@ from .engine import (BatchStats, EngineStats, ExperimentEngine,
                      RequestObservation, default_engine)
 from .executor import execute_request
 from .faults import (CORRUPTION_KINDS, FaultPlan, InjectedFault,
-                     SERVE_KILL_EXIT_CODE, ServeFaultPlan,
                      corrupt_cache_entry)
 from .request import (AllocationSummary, CACHE_VERSION, ExperimentRequest,
                       TimingReport, TimingSample, request_key)
@@ -43,9 +43,7 @@ __all__ = [
     "QUARANTINE_DIR",
     "RequestObservation",
     "ResultCache",
-    "SERVE_KILL_EXIT_CODE",
     "SHARD_WIDTH",
-    "ServeFaultPlan",
     "SupervisedStats",
     "SupervisorConfig",
     "WorkerPool",

@@ -30,6 +30,12 @@ envelope.
 Everything is deterministic given the plan; :meth:`FaultPlan.seeded`
 derives a plan from a seed and a key list so the chaos suite can state
 its expected counters *before* the run and reconcile after.
+
+Injection stops at the engine: the allocation server above it has no
+fault hooks.  The server survives what happens to its workers; a
+failure of the server process itself is answered by clients
+reconnecting (:class:`~repro.serve.client.ResilientClient`), not by
+the server (see ``docs/robustness.md``).
 """
 
 from __future__ import annotations
@@ -125,139 +131,6 @@ class FaultPlan:
 
     def with_interrupt_after(self, n: int) -> "FaultPlan":
         return replace(self, interrupt_after=n)
-
-
-#: the exit code an injected backend kill dies with (distinct from the
-#: worker-crash code so forensics can tell the layers apart)
-SERVE_KILL_EXIT_CODE = 73
-
-
-@dataclass(frozen=True)
-class ServeFaultPlan:
-    """Planned faults for the *serve* layer (backends and connections).
-
-    Where :class:`FaultPlan` breaks individual worker processes inside
-    one engine, this plan breaks whole backend servers and their client
-    connections, so the router's recovery paths — failover, restart,
-    reconnect — are provable.  Injection points:
-
-    * ``kill_keys`` — a backend that begins *executing* one of these
-      request keys dies abruptly (``os._exit``) with the request
-      admitted and unanswered: the router must fail pending work over
-      to a peer and the cluster supervisor must restart the corpse.
-    * ``drop_keys`` — the backend computes the response, then closes
-      the connection without writing it (a vanished reply).
-    * ``garble_keys`` — the backend writes junk bytes instead of the
-      response and closes (a corrupted reply).
-    * ``hang_accept`` — ``backend id → seconds``: the named backend's
-      accept loop stalls that long before serving its next connection,
-      the stand-in for an event loop wedged by a pathological client;
-      only health checks and circuit breakers catch it.
-
-    Every fault fires **exactly once** across all processes: backends
-    claim a marker file under ``state_dir`` (``O_EXCL``) before
-    injecting, so a restarted backend does not re-kill itself on the
-    retried request.  The plan is JSON round-trippable
-    (:meth:`to_json` / :meth:`from_json`) because backends are separate
-    processes that load it from a file (``repro serve --serve-faults``).
-    """
-
-    state_dir: str
-    kill_keys: frozenset[str] = frozenset()
-    drop_keys: frozenset[str] = frozenset()
-    garble_keys: frozenset[str] = frozenset()
-    #: backend id → seconds its accept loop stalls (once per backend)
-    hang_accept: dict[str, float] = field(default_factory=dict)
-
-    def _claim(self, marker: str) -> bool:
-        """Atomically claim a one-shot fault across every process."""
-        import os
-        import pathlib
-
-        path = pathlib.Path(self.state_dir) / marker
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return False
-        except OSError:
-            return False  # unwritable state dir: fail open, no fault
-        os.close(fd)
-        return True
-
-    @staticmethod
-    def _marker(kind: str, key: str) -> str:
-        return f"{kind}-{hashlib.sha256(key.encode()).hexdigest()[:16]}"
-
-    def claim_kill(self, key: str) -> bool:
-        return key in self.kill_keys and self._claim(self._marker("kill", key))
-
-    def claim_drop(self, key: str) -> bool:
-        return key in self.drop_keys and self._claim(self._marker("drop", key))
-
-    def claim_garble(self, key: str) -> bool:
-        return key in self.garble_keys \
-            and self._claim(self._marker("garble", key))
-
-    def claim_accept_hang(self, backend_id: str | None) -> float:
-        """Seconds this backend's accept loop must stall (0 — none)."""
-        if backend_id is None or backend_id not in self.hang_accept:
-            return 0.0
-        if self._claim(self._marker("hang", backend_id)):
-            return self.hang_accept[backend_id]
-        return 0.0
-
-    def claimed(self, kind: str) -> int:
-        """How many faults of *kind* have fired so far (marker count)."""
-        import pathlib
-
-        root = pathlib.Path(self.state_dir)
-        if not root.is_dir():
-            return 0
-        return sum(1 for p in root.iterdir()
-                   if p.name.startswith(f"{kind}-"))
-
-    @staticmethod
-    def seeded(keys: list[str], state_dir: str, seed: int = 0,
-               kills: int = 0, drops: int = 0, garbles: int = 0,
-               hang_backends: dict[str, float] | None = None,
-               ) -> "ServeFaultPlan":
-        """Derive a plan from *seed*: disjoint victim keys per kind."""
-        unique = sorted(set(keys))
-        need = kills + drops + garbles
-        if need > len(unique):
-            raise ValueError(f"plan wants {need} victims from "
-                             f"{len(unique)} distinct keys")
-        rng = random.Random(seed)
-        victims = rng.sample(unique, need)
-        return ServeFaultPlan(
-            state_dir=state_dir,
-            kill_keys=frozenset(victims[:kills]),
-            drop_keys=frozenset(victims[kills:kills + drops]),
-            garble_keys=frozenset(victims[kills + drops:]),
-            hang_accept=dict(hang_backends or {}))
-
-    def describe(self) -> dict[str, int]:
-        return {"kills": len(self.kill_keys), "drops": len(self.drop_keys),
-                "garbles": len(self.garble_keys),
-                "hangs": len(self.hang_accept)}
-
-    def to_json(self) -> dict:
-        return {"state_dir": self.state_dir,
-                "kill_keys": sorted(self.kill_keys),
-                "drop_keys": sorted(self.drop_keys),
-                "garble_keys": sorted(self.garble_keys),
-                "hang_accept": dict(self.hang_accept)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ServeFaultPlan":
-        return ServeFaultPlan(
-            state_dir=obj["state_dir"],
-            kill_keys=frozenset(obj.get("kill_keys", ())),
-            drop_keys=frozenset(obj.get("drop_keys", ())),
-            garble_keys=frozenset(obj.get("garble_keys", ())),
-            hang_accept={str(k): float(v) for k, v
-                         in obj.get("hang_accept", {}).items()})
 
 
 def corrupt_cache_entry(cache, key: str, kind: str) -> None:

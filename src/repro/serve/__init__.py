@@ -2,49 +2,35 @@
 
 ``repro serve`` keeps one :class:`~repro.engine.engine.ExperimentEngine`
 — warm worker pool, in-process memo, sharded persistent cache — alive
-behind a JSONL/TCP front end, so repeated experiment traffic pays
-interpreter spawn and import cost once instead of per invocation.
-``server.py`` holds the asyncio daemon (admission control, in-flight
-dedup, work-conserving batching, drain-on-SIGTERM), ``protocol.py`` the wire
-format and its byte-identity guarantees, ``client.py`` the blocking
-client library plus the reconnecting/retrying
-:class:`~repro.serve.client.ResilientClient`, ``router.py`` the
-cluster front-end (consistent-hash routing, health-checked circuit
-breakers, failover, probabilistic shedding, per-client fair
-admission), ``cluster.py`` the backend process supervisor behind
-``repro serve --backends N``, ``loadgen.py`` the threaded load
-generator the benchmarks drive, ``observe.py`` the per-request
-lifecycle records, access log and flight recorder, and ``top.py`` the
-live ``repro top`` dashboard.  See ``docs/serving.md`` and
-``docs/observability.md``.
+behind one asyncio JSONL/TCP front end, so repeated experiment traffic
+pays interpreter spawn and import cost once instead of per invocation.
+``server.py`` holds the daemon (admission control, per-client fair
+admission, deadlines, in-flight dedup, work-conserving batching,
+drain-on-SIGTERM), ``protocol.py`` the wire format and its
+byte-identity guarantees, ``client.py`` the blocking client library
+plus the reconnecting/retrying
+:class:`~repro.serve.client.ResilientClient`, ``loadgen.py`` the
+threaded load generator the benchmarks drive, ``observe.py`` the
+per-request lifecycle records, access log and flight recorder, and
+``top.py`` the live ``repro top`` dashboard.  See ``docs/serving.md``
+and ``docs/observability.md``.
 """
 
 from .client import (ResilientClient, RetriesExhausted, ServeClient,
                      ServeError)
-from .cluster import (ClusterConfig, ClusterHarness, ClusterSupervisor,
-                      run_cluster)
 from .loadgen import LoadReport, default_corpus, percentile, run_load
 from .observe import (FlightRecorder, PHASES, RequestRecord,
                       access_line, access_record, stitch_request_trace)
 from .protocol import (PROTOCOL_VERSION, ProtocolError, RETRYABLE_KINDS,
                        dumps, envelope_meta, failure_to_json,
                        request_from_json, summary_to_json)
-from .router import (BackendState, ClusterRouter, HashRing,
-                     RouterConfig, RouterThread, TokenBucket,
-                     run_router)
 from .server import (AllocationServer, ServeConfig, ServerThread,
-                     execute_trace, run_server)
+                     TokenBucket, execute_trace, run_server)
 from .top import format_seconds, render_dashboard, run_top
 
 __all__ = [
     "AllocationServer",
-    "BackendState",
-    "ClusterConfig",
-    "ClusterHarness",
-    "ClusterRouter",
-    "ClusterSupervisor",
     "FlightRecorder",
-    "HashRing",
     "LoadReport",
     "PHASES",
     "PROTOCOL_VERSION",
@@ -53,8 +39,6 @@ __all__ = [
     "RequestRecord",
     "ResilientClient",
     "RetriesExhausted",
-    "RouterConfig",
-    "RouterThread",
     "ServeClient",
     "ServeConfig",
     "ServeError",
@@ -71,9 +55,7 @@ __all__ = [
     "percentile",
     "render_dashboard",
     "request_from_json",
-    "run_cluster",
     "run_load",
-    "run_router",
     "run_server",
     "run_top",
     "stitch_request_trace",

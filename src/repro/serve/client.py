@@ -6,17 +6,19 @@ back.  It is now **thread-safe**: an internal lock serializes whole
 round-trips, so the load generator and multi-threaded harnesses can
 share one client instead of opening a connection per thread.
 
-:class:`ResilientClient` is the fault-tolerant wrapper the cluster
-work demands: it owns an *address* rather than a connection,
-reconnects on broken pipes, retries retryable errors (``overload`` /
-``draining`` / ``unavailable`` — see
+:class:`ResilientClient` is the fault-tolerant wrapper: it owns an
+*address* rather than a connection, reconnects on broken pipes, lost
+or garbled replies and a restarted server, retries retryable errors
+(``overload`` / ``draining`` — see
 :data:`~repro.serve.protocol.RETRYABLE_KINDS`) and transport failures
 with jittered exponential backoff (honouring server ``retry_after``
 hints), and propagates an end-to-end deadline in the v2 envelope so
-servers can drop work that has already expired.  Retrying is safe
-because allocation requests are idempotent: content-hashed, cached,
-and deterministic.  Connections are per-thread, so concurrent callers
-don't serialize behind one socket.
+the server can drop work that has already expired.  When its
+transport retries run out it raises :class:`RetriesExhausted` with
+the kind ``unavailable``.  Retrying is safe because allocation
+requests are idempotent: content-hashed, cached, and deterministic.
+Connections are per-thread, so concurrent callers don't serialize
+behind one socket.
 """
 
 from __future__ import annotations
@@ -45,8 +47,8 @@ class ServeError(RuntimeError):
     def retryable(self) -> bool:
         """Whether retrying the same request can succeed: ``overload``,
         ``draining`` and ``unavailable`` are transient conditions of
-        *this moment* (or this backend); ``bad_request``, ``failed``,
-        ``expired`` and ``internal`` are definitive answers."""
+        *this moment*; ``bad_request``, ``failed``, ``expired`` and
+        ``internal`` are definitive answers."""
         return self.kind in protocol.RETRYABLE_KINDS
 
     @property
@@ -123,8 +125,7 @@ class ServeClient:
         return self.call("metrics")
 
     def debug(self) -> dict:
-        """The flight recorder's dump: slowest + failed request traces.
-        Through the router this aggregates every backend's recorder."""
+        """The flight recorder's dump: slowest + failed request traces."""
         return self.call("debug")
 
     def shutdown(self) -> None:

@@ -1,4 +1,4 @@
-"""A threaded load generator for the allocation server and cluster.
+"""A threaded load generator for the allocation server.
 
 ``run_load`` opens one :class:`~repro.serve.client.ServeClient` per
 simulated client, round-robins a request corpus across them, and
@@ -10,11 +10,11 @@ are part of the protocol, not failures: the generator counts them and
 retries with a short backoff honouring the server's ``retry_after``
 hint.
 
-For the cluster's fairness experiments each simulated client can carry
-a stable ``client_id`` (the router's fair-admission token buckets
-meter by it) and a per-request *think time*; the report then breaks
-latencies down per client id, so a test can assert that a polite
-client's p99 survives a greedy neighbour.
+For fairness experiments each simulated client can carry a stable
+``client_id`` (the server's fair-admission token buckets meter by it)
+and a per-request *think time*; the report then breaks latencies down
+per client id, so a test can assert that a polite client's p99
+survives a greedy neighbour.
 
 Also runnable by hand::
 
@@ -90,10 +90,10 @@ def run_load(host: str, port: int, corpus: list[dict], clients: int,
 
     *client_ids*, when given, assigns simulated client *i* the identity
     ``client_ids[i % len(client_ids)]`` — several threads may share one
-    identity (a multi-connection tenant) and the router meters them as
+    identity (a multi-connection tenant) and the server meters them as
     one.  *think_time* sleeps between a client's requests.
     *max_rejects* bounds retryable-rejection retries per request so an
-    unhealthy cluster fails the run instead of spinning forever.
+    overloaded server fails the run instead of spinning forever.
     """
     assert corpus, "load corpus is empty"
     report = LoadReport(clients=clients, requests=total_requests)

@@ -32,28 +32,30 @@ Responses echo the id and carry either a result or a typed error::
     {"id": "r1", "ok": false, "error": {"kind": "overload", ...}}
 
 Error kinds: ``bad_request`` (malformed envelope or request),
-``overload`` (admission queue full or load shed — back off and retry),
-``draining`` (server is shutting down), ``failed`` (the supervisor
-quarantined the request; the error carries the attempt forensics),
-``expired`` (the request's end-to-end deadline passed before it could
-be executed), ``unavailable`` (no healthy backend could answer — a
-router-layer error), ``internal``.  :data:`RETRYABLE_KINDS` classifies
-them: ``overload``/``draining``/``unavailable`` are safe to retry
+``overload`` (admission queue full or the client over its admission
+rate — back off and retry), ``draining`` (server is shutting down),
+``failed`` (the supervisor quarantined the request; the error carries
+the attempt forensics), ``expired`` (the request's end-to-end deadline
+passed before it could be executed), ``unavailable`` (no server could
+be reached: the kind :class:`~repro.serve.client.ResilientClient`
+raises when its transport retries run out; no server sends it),
+``internal``.  :data:`RETRYABLE_KINDS` classifies them:
+``overload``/``draining``/``unavailable`` are safe to retry
 (allocation requests are idempotent — content-hashed and cached);
 ``bad_request``/``failed``/``expired``/``internal`` are not.
 
 **Protocol v2** adds three optional envelope/response fields (v1
 envelopes remain accepted — the new fields simply default off):
 
-* ``client`` — a stable client identity string; the router's
-  fair-admission token buckets meter traffic per ``client`` so one
-  greedy client cannot starve the rest (connections without one are
-  metered by peer address).
+* ``client`` — a stable client identity string; the server's
+  fair-admission token buckets meter ``allocate``/``trace`` traffic
+  per ``client`` so one greedy client cannot starve the rest
+  (requests without one are not metered).
 * ``deadline_s`` — the requester's *remaining* end-to-end budget in
-  seconds (relative, because wall clocks don't cross processes).
-  Every hop re-stamps it with what is left; a server drops work whose
-  deadline already passed from its queue and answers ``expired``
-  instead of executing dead requests.
+  seconds (relative, because wall clocks don't cross processes).  A
+  retrying client re-stamps it with what is left; the server drops
+  work whose deadline already passed and answers ``expired`` instead
+  of executing dead requests.
 * ``retry_after`` — on ``overload``/``draining`` errors, a server
   hint (seconds) for when to retry; the resilient client honours it.
 
@@ -94,7 +96,8 @@ OPERATIONS = ("allocate", "trace", "ping", "metrics", "debug",
 #: everything else is a definitive answer
 RETRYABLE_KINDS = frozenset({"overload", "draining", "unavailable"})
 
-#: every typed error kind a server can answer with
+#: every typed error kind of the protocol; a server answers with all
+#: but ``unavailable``, which only the resilient client raises
 ERROR_KINDS = ("bad_request", "overload", "draining", "failed",
                "expired", "unavailable", "internal")
 

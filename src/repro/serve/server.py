@@ -9,12 +9,25 @@ serves allocation requests to any number of clients over JSONL/TCP
   a slot in a bounded queue.  A full queue is answered *immediately*
   with a typed ``overload`` rejection instead of unbounded buffering;
   clients back off and retry (``serve.overload_rejections`` counts the
-  pushback).
+  pushback).  Rejections carry a ``retry_after`` hint.
+* **Fair admission** — a request that names its tenant (the v2
+  ``client`` envelope field) first spends a token from that tenant's
+  :class:`TokenBucket` (:data:`CLIENT_RATE` per second, bursts of
+  :data:`CLIENT_BURST`).  A tenant over its rate gets ``overload`` with
+  the time until its next token as ``retry_after``
+  (``serve.throttled``), so one greedy tenant cannot starve the rest.
+  Requests without a ``client`` are not metered.
 * **In-flight dedup** — admitted requests are keyed by the engine's
   content hash (:func:`~repro.engine.request.request_key`).  A request
   whose key is already queued or executing attaches to the existing
   future and consumes *no* queue slot: one execution answers every
   subscriber (``serve.deduplicated``).
+* **Deadlines** — a request's ``deadline_s`` bounds its end-to-end
+  wait: work already dead on arrival is answered ``expired`` without
+  queueing, and the supervisor abandons work whose deadline passes
+  before or during execution.  A subscriber is answered ``expired``
+  only when its *own* deadline has passed; if the shared execution
+  expired on another subscriber's deadline, it is admitted again.
 * **Work-conserving batching** — a single batcher task takes the queue
   head plus whatever else is already queued (up to ``max_batch``) and
   hands the batch to :meth:`ExperimentEngine.run_many
@@ -57,7 +70,6 @@ import asyncio
 import itertools
 import json
 import logging
-import os
 import pathlib
 import signal
 import threading
@@ -66,13 +78,44 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..engine import (AllocationSummary, ExperimentEngine,
-                      ExperimentFailure, RequestObservation,
-                      SERVE_KILL_EXIT_CODE, ServeFaultPlan, request_key)
+                      ExperimentFailure, RequestObservation, request_key)
 from ..obs import MetricsRegistry, render_prometheus
 from . import protocol
 from .observe import FlightRecorder, RequestRecord, access_line
 
 logger = logging.getLogger(__name__)
+
+#: fair admission: tokens per second each declared ``client`` earns
+CLIENT_RATE = 500.0
+#: fair admission: the most tokens one ``client`` can bank
+CLIENT_BURST = 250.0
+
+
+class TokenBucket:
+    """Fair admission: *rate* tokens/second, holding at most *burst*.
+
+    :meth:`admit` spends one token and returns 0.0, or returns how
+    many seconds until a token accrues — the ``retry_after`` hint for
+    the throttled client.
+    """
+
+    def __init__(self, rate: float, burst: float,
+                 now: float | None = None):
+        self.rate = max(1e-9, rate)
+        self.burst = max(1.0, burst)
+        self.tokens = self.burst
+        self.last = time.monotonic() if now is None else now
+
+    def admit(self, now: float | None = None, cost: float = 1.0) -> float:
+        if now is None:
+            now = time.monotonic()
+        self.tokens = min(self.burst,
+                          self.tokens + (now - self.last) * self.rate)
+        self.last = now
+        if self.tokens >= cost:
+            self.tokens -= cost
+            return 0.0
+        return (cost - self.tokens) / self.rate
 
 
 @dataclass
@@ -100,15 +143,6 @@ class ServeConfig:
             the server drains; ``None`` skips the dump.
         metrics_addr: ``HOST:PORT`` (or just ``PORT``) for the
             Prometheus text exposition endpoint; ``None`` disables it.
-        backend_id: this server's name within a cluster (``b0`` …);
-            stamped into the metrics snapshot so the router and ``repro
-            top`` can attribute per-backend health.  ``None`` outside a
-            cluster.
-        fault_plan: serve-layer chaos injection
-            (:class:`~repro.engine.faults.ServeFaultPlan`) — kill this
-            backend as it begins executing a planned key, stall its
-            accept path, drop or garble planned responses.  Never set
-            in production paths.
     """
 
     host: str = "127.0.0.1"
@@ -120,8 +154,6 @@ class ServeConfig:
     flight_slots: int = 64
     flight_dump: str | pathlib.Path | None = None
     metrics_addr: str | None = None
-    backend_id: str | None = None
-    fault_plan: ServeFaultPlan | None = None
 
 
 @dataclass
@@ -134,7 +166,8 @@ class _Pending:
     future: asyncio.Future = field(repr=False)
     #: the latest subscriber deadline (absolute ``time.monotonic``);
     #: ``None`` once any subscriber has no deadline — the work must
-    #: then run to completion
+    #: then run to completion.  The batch reads it at dispatch, so a
+    #: subscriber that attaches later is not covered by it
     deadline: float | None = None
     #: batcher stamps shared by every subscriber's lifecycle record
     t_dequeue: float | None = None
@@ -159,6 +192,8 @@ class AllocationServer:
             asyncio.Queue(maxsize=self.config.queue_limit)
         #: key → pending work, for in-flight dedup
         self.inflight: dict[str, _Pending] = {}
+        #: declared ``client`` → its fair-admission bucket
+        self.buckets: dict[str, TokenBucket] = {}
         self.flight = FlightRecorder(self.config.flight_slots)
         self.draining = False
         self.port: int | None = None
@@ -240,14 +275,6 @@ class AllocationServer:
                            writer: asyncio.StreamWriter) -> None:
         write_lock = asyncio.Lock()
         pending: set[asyncio.Task] = set()
-        plan = self.config.fault_plan
-        if plan is not None:
-            # injected accept stall: the connection sits unserved, the
-            # stand-in for a wedged event loop — only the router's
-            # health checks notice
-            stall = plan.claim_accept_hang(self.config.backend_id)
-            if stall:
-                await asyncio.sleep(stall)
         try:
             while True:
                 line = await reader.readline()
@@ -279,24 +306,10 @@ class AllocationServer:
         record = self._new_record()
         response = await self._respond(line, record)
         payload = protocol.encode_line(response)
-        plan = self.config.fault_plan
-        garbled = False
-        if plan is not None and record.key is not None:
-            raw_key = record.key.split(":", 1)[-1]
-            if plan.claim_drop(raw_key):
-                payload = None          # vanished reply
-            elif plan.claim_garble(raw_key):
-                payload = b"\x00\xfe{not json" + payload[:16] + b"\n"
-                garbled = True
         async with write_lock:
             try:
-                if payload is None:
-                    writer.close()
-                else:
-                    writer.write(payload)
-                    await writer.drain()
-                    if garbled:
-                        writer.close()  # a garbled reply ends the conn
+                writer.write(payload)
+                await writer.drain()
             except (ConnectionError, OSError):
                 pass  # client went away; the work still fed the cache
         self._finish_record(record)
@@ -356,6 +369,16 @@ class AllocationServer:
                                                 self.flight.dump())
                 self.request_shutdown()
                 return protocol.ok_response(request_id, {"draining": True})
+            if client is not None:
+                wait = self._throttle(client)
+                if wait > 0.0:
+                    record.outcome = "overload"
+                    record.t_parse = record.t_admit = time.monotonic()
+                    self.metrics.counter("serve.throttled").inc()
+                    return protocol.error_response(
+                        request_id, "overload",
+                        f"client {client!r} over its admission rate",
+                        retry_after=wait)
             deadline = (time.monotonic() + deadline_s
                         if deadline_s is not None else None)
             return await self._admit(request_id, op, obj.get("request"),
@@ -370,6 +393,15 @@ class AllocationServer:
             logger.exception("internal error serving request")
             return protocol.error_response(request_id, "internal",
                                            f"{type(exc).__name__}: {exc}")
+
+    def _throttle(self, client: str) -> float:
+        """Spend one of *client*'s tokens: 0.0, or the seconds until
+        its next token accrues."""
+        bucket = self.buckets.get(client)
+        if bucket is None:
+            bucket = self.buckets[client] = TokenBucket(CLIENT_RATE,
+                                                        CLIENT_BURST)
+        return bucket.admit()
 
     async def _admit(self, request_id: Any, op: str, spec: Any,
                      record: RequestRecord,
@@ -387,40 +419,50 @@ class AllocationServer:
             return protocol.error_response(
                 request_id, "expired",
                 "end-to-end deadline passed before admission")
-        pending = self.inflight.get(key)
-        if pending is None:
-            if self.draining:
-                record.outcome = "draining"
+        while True:
+            pending = self.inflight.get(key)
+            if pending is None:
+                if self.draining:
+                    record.outcome = "draining"
+                    record.t_admit = time.monotonic()
+                    self.metrics.counter("serve.drain_rejections").inc()
+                    return protocol.error_response(
+                        request_id, "draining", "server is shutting down",
+                        retry_after=self._retry_after())
+                pending = _Pending(
+                    key, op, request,
+                    asyncio.get_running_loop().create_future(),
+                    deadline=deadline)
+                try:
+                    self.queue.put_nowait(pending)
+                except asyncio.QueueFull:
+                    record.outcome = "overload"
+                    record.t_admit = time.monotonic()
+                    self.metrics.counter("serve.overload_rejections").inc()
+                    return protocol.error_response(
+                        request_id, "overload",
+                        f"admission queue full "
+                        f"({self.config.queue_limit} pending); retry",
+                        retry_after=self._retry_after())
+                self.inflight[key] = pending
+            else:
+                record.dedup = True
+                self.metrics.counter("serve.deduplicated").inc()
+                if deadline is None:
+                    # this subscriber waits forever: the work must finish
+                    pending.deadline = None
+                elif pending.deadline is not None:
+                    pending.deadline = max(pending.deadline, deadline)
+            if record.t_admit is None:
                 record.t_admit = time.monotonic()
-                self.metrics.counter("serve.drain_rejections").inc()
-                return protocol.error_response(
-                    request_id, "draining", "server is shutting down",
-                    retry_after=self._retry_after())
-            pending = _Pending(key, op, request,
-                               asyncio.get_running_loop().create_future(),
-                               deadline=deadline)
-            try:
-                self.queue.put_nowait(pending)
-            except asyncio.QueueFull:
-                record.outcome = "overload"
-                record.t_admit = time.monotonic()
-                self.metrics.counter("serve.overload_rejections").inc()
-                return protocol.error_response(
-                    request_id, "overload",
-                    f"admission queue full "
-                    f"({self.config.queue_limit} pending); retry",
-                    retry_after=self._retry_after())
-            self.inflight[key] = pending
-        else:
-            record.dedup = True
-            self.metrics.counter("serve.deduplicated").inc()
-            if deadline is None:
-                # this subscriber waits forever: the work must finish
-                pending.deadline = None
-            elif pending.deadline is not None:
-                pending.deadline = max(pending.deadline, deadline)
-        record.t_admit = time.monotonic()
-        status, body = await asyncio.shield(pending.future)
+            status, body = await asyncio.shield(pending.future)
+            if status == "error" and body.get("kind") == "expired" \
+                    and (deadline is None or time.monotonic() < deadline):
+                # the work expired on the deadline it was dispatched
+                # with, which this subscriber attached too late to
+                # lift: its own budget is not spent, so admit it again
+                continue
+            break
         if record.dedup:
             # a subscriber did not queue or batch: its whole wait is
             # the execute phase, keeping its phase sum contiguous
@@ -498,14 +540,6 @@ class AllocationServer:
     def _execute(self, batch: list[_Pending]) -> dict[str, tuple]:
         """Worker-thread side: the only caller of the engine and pool."""
         outcomes: dict[str, tuple] = {}
-        plan = self.config.fault_plan
-        if plan is not None:
-            for pending in batch:
-                if plan.claim_kill(pending.key.split(":", 1)[-1]):
-                    # injected backend death mid-request: admitted work
-                    # dies unanswered; the router must fail it over and
-                    # the cluster supervisor must restart this process
-                    os._exit(SERVE_KILL_EXIT_CODE)
         allocs = [p for p in batch if p.op == "allocate"]
         if allocs:
             observations: dict[str, RequestObservation] | None = \
@@ -590,8 +624,6 @@ class AllocationServer:
         snapshot["histograms"] = histograms
         snapshot["queue_depth"] = self.queue.qsize()
         snapshot["inflight"] = len(self.inflight)
-        if self.config.backend_id is not None:
-            snapshot["backend_id"] = self.config.backend_id
         return snapshot
 
 

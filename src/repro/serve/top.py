@@ -5,12 +5,9 @@ watches: request and execution rates (derived from successive counter
 snapshots), server-side latency quantiles (the bucketed
 ``serve.request_seconds`` histogram — the same p50/p99 the Prometheus
 endpoint exposes), queue depth and in-flight dedup, cache hit ratio,
-warm-pool spawn/reuse, and the per-phase p50 breakdown.
-
-Pointed at a cluster router the same ``metrics`` op answers the
-*merged* snapshot, and the dashboard grows a per-backend section —
-health, circuit-breaker state, router-tracked in-flight depth, probe
-and restart counts — from the snapshot's ``router`` block.
+warm-pool spawn/reuse, and the per-phase p50 breakdown.  The
+rejection counts on the ``requests`` line include fair admission's
+``throttled``.
 
 Pure rendering over snapshots: :func:`render_dashboard` takes the
 current (and optionally previous) ``metrics`` result, so tests feed it
@@ -72,6 +69,7 @@ def render_dashboard(snapshot: dict[str, Any],
         f"requests   {c('serve.requests'):>8}{rate}   "
         f"bad {c('serve.bad_requests')}  "
         f"overload {c('serve.overload_rejections')}  "
+        f"throttled {c('serve.throttled')}  "
         f"draining {c('serve.drain_rejections')}")
 
     latency = histograms.get("serve.request_seconds") or {}
@@ -126,26 +124,6 @@ def render_dashboard(snapshot: dict[str, Any],
             phases.append(f"{name} {format_seconds(snap['p50'])}")
     if phases:
         lines.append("phase p50  " + "  ".join(phases))
-
-    router = snapshot.get("router")
-    if router:
-        lines.append(
-            f"router     {router.get('healthy', 0)}/"
-            f"{len(router.get('backends', {}))} healthy   "
-            f"forwarded {c('router.forwarded')}  "
-            f"failovers {c('router.failovers')}  "
-            f"shed {c('router.shed')}  "
-            f"throttled {c('router.throttled')}  "
-            f"restarts {c('router.backend_restarts')}")
-        for name, state in sorted(router.get("backends", {}).items()):
-            status = "up" if state.get("healthy") else (
-                "breaker" if state.get("breaker_open") else "down")
-            lines.append(
-                f"  {name:<8} {status:<7} {state.get('addr', '?'):<21} "
-                f"inflight {state.get('inflight', 0):<4} "
-                f"probes {state.get('probes_ok', 0)}/"
-                f"{state.get('probes_ok', 0) + state.get('probes_failed', 0)} "
-                f"restarts {state.get('restarts', 0)}")
     return "\n".join(lines)
 
 

@@ -1,17 +1,24 @@
 """Fair admission: a greedy tenant cannot starve a polite one.
 
-The router meters each declared ``client`` identity through its own
+The server meters each declared ``client`` identity through its own
 token bucket, so a client flooding ten connections gets throttled
 (typed ``overload`` with a ``retry_after`` hint) while a well-behaved
-client's latency stays put.
+client's latency stays put.  Requests without a ``client`` are not
+metered.
 """
 
+import asyncio
 import threading
+
+import pytest
 
 from repro.engine import ExperimentEngine
 from repro.ir import function_to_text
-from repro.serve import (LoadReport, RouterConfig, RouterThread,
-                         ServeClient, ServerThread, run_load)
+from repro.serve import (AllocationServer, LoadReport, ServeClient,
+                         ServeConfig, ServerThread, TokenBucket,
+                         run_load)
+from repro.serve.protocol import encode_line
+from repro.serve.server import CLIENT_BURST, CLIENT_RATE
 
 from ..helpers import single_loop
 
@@ -24,9 +31,69 @@ POLITE_REQUESTS = 40
 GREEDY_REQUESTS = POLITE_REQUESTS * 10
 
 
+class TestTokenBucket:
+    def test_burst_admits_then_throttles_with_a_hint(self):
+        bucket = TokenBucket(rate=10.0, burst=2.0, now=0.0)
+        assert bucket.admit(now=0.0) == 0.0
+        assert bucket.admit(now=0.0) == 0.0
+        wait = bucket.admit(now=0.0)
+        assert wait == pytest.approx(0.1)   # one token at 10/s
+
+    def test_tokens_refill_over_time_up_to_burst(self):
+        bucket = TokenBucket(rate=10.0, burst=2.0, now=0.0)
+        bucket.admit(now=0.0)
+        bucket.admit(now=0.0)
+        assert bucket.admit(now=0.05) > 0.0   # only half a token back
+        assert bucket.admit(now=10.0) == 0.0  # refilled (capped at burst)
+        assert bucket.tokens <= bucket.burst
+
+
+def test_per_client_token_bucket_throttles_the_flood():
+    """A tenant out of tokens is answered ``overload`` with a hint and
+    never reaches admission; other tenants and requests without a
+    ``client`` are untouched."""
+    def line(request_id: str, client: str | None = None) -> bytes:
+        envelope = {"v": 2, "id": request_id, "op": "allocate",
+                    "request": POLITE_SPEC}
+        if client is not None:
+            envelope["client"] = client
+        return encode_line(envelope)
+
+    async def scenario():
+        server = AllocationServer(ExperimentEngine(jobs=1, use_cache=False),
+                                  ServeConfig())
+        batcher = asyncio.ensure_future(server._batcher())
+        # a bucket this slow refills nothing within the test
+        server.buckets["tenant-a"] = TokenBucket(rate=0.001, burst=1.0)
+        first = await server._respond(line("a1", "tenant-a"))
+        second = await server._respond(line("a2", "tenant-a"))
+        other = await server._respond(line("b1", "tenant-b"))
+        anonymous = await server._respond(line("v1"))
+        await server.queue.put(None)
+        await batcher
+        return server, first, second, other, anonymous
+
+    server, first, second, other, anonymous = asyncio.run(scenario())
+    assert first["ok"] is True
+    assert second["ok"] is False
+    error = second["error"]
+    assert error["kind"] == "overload"
+    assert "tenant-a" in error["message"]
+    assert error["retry_after"] > 0
+    assert other["ok"] is True and anonymous["ok"] is True
+    counters = server.metrics.counters()
+    assert counters["serve.throttled"] == 1
+    assert counters["serve.op.allocate"] == 4
+    assert "serve.overload_rejections" not in counters
+    # a fresh tenant starts with the default bucket; v1 traffic none
+    assert (server.buckets["tenant-b"].rate,
+            server.buckets["tenant-b"].burst) == (CLIENT_RATE, CLIENT_BURST)
+    assert set(server.buckets) == {"tenant-a", "tenant-b"}
+
+
 def polite_load(port: int) -> LoadReport:
-    # paced by its own send rate, at most half the router's 100 req/s
-    # bucket, whatever the server's latency
+    # paced by its own send rate, at most a tenth of the server's
+    # per-client rate, whatever the server's latency
     return run_load("127.0.0.1", port, [POLITE_SPEC], clients=1,
                     total_requests=POLITE_REQUESTS,
                     client_ids=["polite"], think_time=0.02)
@@ -34,46 +101,42 @@ def polite_load(port: int) -> LoadReport:
 
 def test_polite_client_p99_survives_a_greedy_neighbour():
     engine = ExperimentEngine(jobs=1, use_cache=False)
-    config = RouterConfig(ping_interval=0.02, bucket_rate=100.0,
-                          bucket_burst=20.0)
     with ServerThread(engine) as srv:
-        backends = {"b0": ("127.0.0.1", srv.port)}
-        with RouterThread(backends, config) as rt:
-            # warm both keys so backend latency is memo-flat and the
-            # measurement isolates the router's admission behaviour
-            with ServeClient("127.0.0.1", rt.port) as warm:
-                warm.allocate(**POLITE_SPEC)
-                warm.allocate(**GREEDY_SPEC)
+        # warm both keys so execution is memo-flat and the measurement
+        # isolates the server's admission behaviour
+        with ServeClient("127.0.0.1", srv.port) as warm:
+            warm.allocate(**POLITE_SPEC)
+            warm.allocate(**GREEDY_SPEC)
 
-            solo = polite_load(rt.port)
-            assert solo.ok == POLITE_REQUESTS and solo.failed == 0
+        solo = polite_load(srv.port)
+        assert solo.ok == POLITE_REQUESTS and solo.failed == 0
 
-            # now the same polite run, next to a tenant driving 10x
-            # the traffic over ten connections under one identity
-            reports = {}
+        # now the same polite run, next to a tenant driving 10x
+        # the traffic over ten connections under one identity
+        reports = {}
 
-            def greedy() -> None:
-                reports["greedy"] = run_load(
-                    "127.0.0.1", rt.port, [GREEDY_SPEC], clients=10,
-                    total_requests=GREEDY_REQUESTS,
-                    client_ids=["greedy"])
+        def greedy() -> None:
+            reports["greedy"] = run_load(
+                "127.0.0.1", srv.port, [GREEDY_SPEC], clients=10,
+                total_requests=GREEDY_REQUESTS,
+                client_ids=["greedy"])
 
-            flood = threading.Thread(target=greedy)
-            flood.start()
-            try:
-                contended = polite_load(rt.port)
-            finally:
-                flood.join(timeout=120)
+        flood = threading.Thread(target=greedy)
+        flood.start()
+        try:
+            contended = polite_load(srv.port)
+        finally:
+            flood.join(timeout=120)
 
-            with ServeClient("127.0.0.1", rt.port) as probe:
-                counters = probe.metrics()["counters"]
+        with ServeClient("127.0.0.1", srv.port) as probe:
+            counters = probe.metrics()["counters"]
 
     greedy_report = reports["greedy"]
     assert contended.ok == POLITE_REQUESTS and contended.failed == 0
     assert greedy_report.ok == GREEDY_REQUESTS
 
-    # the router throttled the flood, not the polite tenant
-    assert counters["router.throttled"] > 0
+    # the server throttled the flood, not the polite tenant
+    assert counters["serve.throttled"] > 0
     assert greedy_report.rejected > 0
     assert contended.rejected == 0
 

@@ -4,7 +4,9 @@ import asyncio
 import concurrent.futures
 import json
 import pickle
+import socket
 import threading
+import time
 
 import pytest
 
@@ -33,6 +35,18 @@ def spec(n: int = 0) -> dict:
 def line(op: str, n: int = 0, request_id: str = "t") -> bytes:
     return encode_line({"v": 1, "id": request_id, "op": op,
                         "request": spec(n)})
+
+
+def v2_line(op: str, n: int = 0, request_id: str = "t",
+            **extra) -> bytes:
+    return encode_line({"v": 2, "id": request_id, "op": op,
+                        "request": spec(n), **extra})
+
+
+def local_bytes(n: int) -> str:
+    """What ``run_many`` answers for ``spec(n)``, serialized."""
+    return dumps(summary_to_json(
+        serial_engine().run_many([request_from_json(spec(n))])[0]))
 
 
 def serial_engine(**kwargs) -> ExperimentEngine:
@@ -383,6 +397,40 @@ class TestEndToEnd:
         assert metrics["queue_depth"] == 0
         assert metrics["inflight"] == 0
 
+    def test_slow_loris_client_does_not_starve_normal_traffic(self):
+        """A connection trickling a never-finished request line costs
+        the server nothing: requests on other connections keep
+        answering."""
+        corpus = [spec(n) for n in range(3)]
+        expected = [local_bytes(n) for n in range(3)]
+        with ServerThread(serial_engine()) as srv:
+            loris = socket.create_connection(("127.0.0.1", srv.port),
+                                             timeout=30)
+            stop = threading.Event()
+
+            def trickle() -> None:
+                fragment = b'{"v": 2, "id": "loris", "op": "allo'
+                for byte in fragment:
+                    if stop.is_set():
+                        return
+                    try:
+                        loris.sendall(bytes([byte]))
+                    except OSError:
+                        return
+                    time.sleep(0.02)
+
+            drip = threading.Thread(target=trickle)
+            drip.start()
+            try:
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    answers = [dumps(client.allocate(**s))
+                               for s in corpus]
+                assert answers == expected
+            finally:
+                stop.set()
+                drip.join(timeout=10)
+                loris.close()
+
     def test_start_spawns_the_whole_pool(self):
         pool = WorkerPool(2)
         engine = ExperimentEngine(jobs=2, use_cache=False, pool=pool)
@@ -397,6 +445,84 @@ class TestEndToEnd:
         assert before["pool.spawned"] == 2
         assert after["pool.spawned"] == 2
         assert after["engine.worker_spawns"] == 0
+
+
+class TestDeadlines:
+    """``deadline_s``: dead work is answered ``expired`` and never run,
+    running work is abandoned at the deadline, and a subscriber is
+    answered ``expired`` only when its own deadline has passed."""
+
+    @pytest.mark.parametrize("op", ["allocate", "trace"])
+    def test_spent_deadline_answers_expired_without_executing(self, op):
+        with ServerThread(serial_engine()) as srv:
+            with ServeClient("127.0.0.1", srv.port) as client:
+                response = client.call_raw(op, spec(0), deadline_s=0)
+                counters = client.metrics()["counters"]
+        assert response["ok"] is False
+        assert response["error"]["kind"] == "expired"
+        assert counters["serve.expired"] == 1
+        assert counters.get("engine.executed", 0) == 0
+        assert counters.get("serve.batches", 0) == 0
+
+    def test_hung_attempt_expires_at_the_deadline_and_frees_the_pool(self):
+        key = request_key(request_from_json(spec(0)))
+        plan = FaultPlan(worker_faults={(key, 1): "hang"},
+                         hang_seconds=30.0)
+        pool = WorkerPool(1, plan)
+        engine = ExperimentEngine(jobs=1, use_cache=False, pool=pool,
+                                  fault_plan=plan)
+        try:
+            with ServerThread(engine) as srv:
+                with ServeClient("127.0.0.1", srv.port) as client:
+                    started = time.monotonic()
+                    response = client.call_raw("allocate", spec(0),
+                                               deadline_s=1.0)
+                    waited = time.monotonic() - started
+                    counters = client.metrics()["counters"]
+                    # the pool replaced the killed worker: the next
+                    # request is answered
+                    after = dumps(client.allocate(**spec(1)))
+        finally:
+            pool.close()
+        assert response["error"]["kind"] == "expired"
+        # cut at the deadline, not at the end of the 30 s hang
+        assert 1.0 <= waited < 10.0, waited
+        assert counters["engine.expired"] == 1
+        assert counters.get("engine.retries", 0) == 0
+        assert counters["pool.discarded"] == 1
+        assert counters["serve.expired"] == 1
+        assert after == local_bytes(1)
+
+    def test_late_subscriber_is_not_expired_by_another_deadline(self):
+        """B attaches without a deadline after A's batch was dispatched
+        with A's deadline.  The batch expires on A's deadline; A gets
+        ``expired``, B is admitted again and gets the summary."""
+        engine = GatedEngine()
+
+        async def scenario():
+            server = AllocationServer(engine, ServeConfig())
+            batcher = asyncio.ensure_future(server._batcher())
+            a = asyncio.ensure_future(server._respond(
+                v2_line("allocate", 0, "a", deadline_s=0.2)))
+            await engine.dispatched()   # A's deadline is read
+            b = asyncio.ensure_future(server._respond(
+                v2_line("allocate", 0, "b")))
+            await asyncio.sleep(0)
+            assert server.metrics.counters()["serve.deduplicated"] == 1
+            await asyncio.sleep(0.25)   # A's deadline has now passed
+            engine.gate.release()
+            response_a = await a
+            engine.gate.release()       # B's own execution
+            response_b = await b
+            assert response_a["error"]["kind"] == "expired"
+            assert response_b["ok"] is True
+            assert dumps(response_b["result"]) == local_bytes(0)
+            assert server.metrics.counters()["serve.expired"] == 1
+            assert engine.batches == [[0], [0]]
+            await server.queue.put(None)
+            await batcher
+
+        run_gated(engine, scenario)
 
 
 class TestRequestFields:

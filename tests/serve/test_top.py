@@ -68,42 +68,15 @@ class TestRenderDashboard:
     def test_no_rates_without_previous(self):
         assert "req/s" not in render_dashboard(snapshot())
 
+    def test_throttled_requests_are_shown(self):
+        throttled = snapshot()
+        throttled["counters"]["serve.throttled"] = 3
+        assert "throttled 3" in render_dashboard(throttled)
+
     def test_empty_server_renders(self):
         text = render_dashboard({"counters": {}, "histograms": {},
                                  "queue_depth": 0, "inflight": 0})
         assert "no requests observed" in text
-
-    def test_cluster_snapshot_grows_a_per_backend_section(self):
-        merged = snapshot()
-        merged["counters"].update({
-            "router.forwarded": 9, "router.failovers": 1,
-            "router.shed": 2, "router.throttled": 3,
-            "router.backend_restarts": 1})
-        merged["router"] = {
-            "healthy": 1, "draining": False, "clients": 2,
-            "backends": {
-                "b0": {"addr": "127.0.0.1:4001", "healthy": True,
-                       "inflight": 3, "breaker_open": False,
-                       "consecutive_failures": 0, "probes_ok": 40,
-                       "probes_failed": 0, "restarts": 0},
-                "b1": {"addr": "127.0.0.1:4002", "healthy": False,
-                       "inflight": 0, "breaker_open": True,
-                       "consecutive_failures": 4, "probes_ok": 12,
-                       "probes_failed": 4, "restarts": 1},
-            }}
-        text = render_dashboard(merged)
-        assert "router     1/2 healthy" in text
-        assert "forwarded 9" in text and "failovers 1" in text
-        assert "shed 2" in text and "throttled 3" in text
-        b0_line = next(l for l in text.splitlines() if "b0" in l)
-        assert "up" in b0_line and "127.0.0.1:4001" in b0_line
-        assert "probes 40/40" in b0_line
-        b1_line = next(l for l in text.splitlines() if "b1" in l)
-        assert "breaker" in b1_line and "probes 12/16" in b1_line
-        assert "restarts 1" in b1_line
-
-    def test_single_server_snapshot_has_no_router_section(self):
-        assert "router" not in render_dashboard(snapshot())
 
 
 class TestRunTop:
