@@ -44,8 +44,9 @@ class RegIndex:
     @classmethod
     def for_function(cls, fn: Function) -> "RegIndex":
         """The canonical index of *fn*: every mentioned register, sorted
-        by ``sort_key`` (class first), for deterministic dense ids."""
-        return cls(sorted(fn.all_regs(), key=Reg.sort_key))
+        (registers order like ``Reg.sort_key``, class first), for
+        deterministic dense ids."""
+        return cls(sorted(fn.all_regs()))
 
     # -- mapping ---------------------------------------------------------------
 

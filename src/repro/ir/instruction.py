@@ -2,36 +2,71 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 from .opcodes import ImmKind, Opcode, OpcodeInfo, RegClass
 
 Immediate = Union[int, float]
 
+# A register's int value: 1<<42 | is_int<<41 | physical<<40 | index.  The
+# constant top bit keeps every register away from 0 and from any small int
+# (immediates, dense ids), and the field order makes int order equal
+# ``sort_key`` order.
+_INDEX_BITS = 40
+_INDEX_MASK = (1 << _INDEX_BITS) - 1
+_PHYSICAL_BIT = 1 << _INDEX_BITS
+_INT_BIT = 1 << (_INDEX_BITS + 1)
+_BASE = 1 << (_INDEX_BITS + 2)
 
-@dataclass(frozen=True)
-class Reg:
+
+class Reg(int):
     """A register operand.
 
     Before allocation all registers are *virtual* (an unbounded namespace);
     after allocation they are *physical* (indices into the machine's register
     file).  Integer and float registers live in disjoint namespaces.
+
+    A register is an ``int`` whose value encodes its three fields, so
+    hashing, equality and ordering run in C: every allocator phase keys
+    dicts and sets by register.  The value sorts like :meth:`sort_key`, is
+    never 0 and never equals a small int.  ``rclass`` and ``physical`` are
+    class attributes of four private kind subclasses, so instances carry
+    no ``__dict__``.
     """
 
+    __slots__ = ()
+
     rclass: RegClass
-    index: int
-    physical: bool = False
+    physical: bool
+    _prefix: str
+    _code: int
+
+    def __new__(cls, rclass: RegClass, index: int,
+                physical: bool = False) -> "Reg":
+        if not 0 <= index <= _INDEX_MASK:
+            raise ValueError(f"register index {index!r} out of range")
+        if rclass is RegClass.INT:
+            kind = _PhysicalInt if physical else _VirtualInt
+        elif rclass is RegClass.FLOAT:
+            kind = _PhysicalFloat if physical else _VirtualFloat
+        else:
+            raise ValueError(f"not a register class: {rclass!r}")
+        return int.__new__(kind, kind._code | index)
+
+    index = property(_INDEX_MASK.__rand__,
+                     doc="The register's number within its namespace.")
 
     def sort_key(self) -> tuple:
         return (self.rclass.value, self.physical, self.index)
 
-    def __lt__(self, other: "Reg") -> bool:
-        return self.sort_key() < other.sort_key()
+    def __reduce__(self) -> tuple:
+        return (Reg, (self.rclass, self & _INDEX_MASK, self.physical))
+
+    # an int format spec would print the encoded value, not the register
+    __format__ = object.__format__
 
     def __str__(self) -> str:
-        prefix = self.rclass.value.upper() if self.physical else self.rclass.value
-        return f"{prefix}{self.index}"
+        return f"{self._prefix}{self & _INDEX_MASK}"
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Reg({self})"
@@ -55,6 +90,30 @@ class Reg:
     def pfloat(index: int) -> "Reg":
         """A physical float register."""
         return Reg(RegClass.FLOAT, index, physical=True)
+
+
+class _VirtualInt(Reg):
+    __slots__ = ()
+    rclass, physical, _prefix = RegClass.INT, False, "r"
+    _code = _BASE | _INT_BIT
+
+
+class _VirtualFloat(Reg):
+    __slots__ = ()
+    rclass, physical, _prefix = RegClass.FLOAT, False, "f"
+    _code = _BASE
+
+
+class _PhysicalInt(Reg):
+    __slots__ = ()
+    rclass, physical, _prefix = RegClass.INT, True, "R"
+    _code = _BASE | _INT_BIT | _PHYSICAL_BIT
+
+
+class _PhysicalFloat(Reg):
+    __slots__ = ()
+    rclass, physical, _prefix = RegClass.FLOAT, True, "F"
+    _code = _BASE | _PHYSICAL_BIT
 
 
 class Instruction:
@@ -93,20 +152,20 @@ class Instruction:
 
     @property
     def is_terminator(self) -> bool:
-        return self.info.is_terminator
+        return self.opcode.info.is_terminator
 
     @property
     def is_copy(self) -> bool:
         """True for plain copies *and* splits."""
-        return self.info.is_copy
+        return self.opcode.info.is_copy
 
     @property
     def is_split(self) -> bool:
-        return self.info.is_split
+        return self.opcode.info.is_split
 
     @property
     def is_never_killed(self) -> bool:
-        return self.info.never_killed
+        return self.opcode.info.never_killed
 
     @property
     def dest(self) -> Reg:
@@ -195,6 +254,9 @@ class Instruction:
                 raise ValueError(
                     f"{info.mnemonic}: src {reg} should be {cls.name}")
         for imm, kind in zip(self.imms, info.imms):
+            if isinstance(imm, Reg):
+                raise ValueError(
+                    f"{info.mnemonic}: register {imm} given as an immediate")
             if kind is ImmKind.INT and not isinstance(imm, int):
                 raise ValueError(
                     f"{info.mnemonic}: immediate {imm!r} should be int")

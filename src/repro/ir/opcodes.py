@@ -90,8 +90,17 @@ class Opcode(enum.Enum):
     """All opcodes of the ILOC-like IR.
 
     Values are :class:`OpcodeInfo` records; use :attr:`Opcode.info` to
-    access them.
+    access them.  ``info`` and ``mnemonic`` are plain member attributes,
+    not properties over ``Enum.value``, because the allocator and the
+    interpreter read them on every instruction.
     """
+
+    info: OpcodeInfo
+    mnemonic: str
+
+    def __init__(self, info: OpcodeInfo) -> None:
+        self.info = info
+        self.mnemonic = info.mnemonic
 
     # --- never-killed definitions (Section 3 of the paper) -----------------
     #: load integer immediate: ``ldi rD, imm``
@@ -252,15 +261,6 @@ class Opcode(enum.Enum):
 
     # --- SSA pseudo-instruction (only present inside renumber) --------------
     PHI = OpcodeInfo("phi", has_side_effects=False)
-
-    @property
-    def info(self) -> OpcodeInfo:
-        """The :class:`OpcodeInfo` record for this opcode."""
-        return self.value
-
-    @property
-    def mnemonic(self) -> str:
-        return self.value.mnemonic
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"

@@ -24,18 +24,12 @@ from typing import Any, Iterator
 
 from .events import event_fields, event_from_fields
 from .metrics import MetricsRegistry
-from .span import Span
+from .span import Span, json_safe
 
 #: bump when a line's shape changes incompatibly
 TRACE_VERSION = 1
 
 _RESERVED = ("type", "kind", "span", "round")
-
-
-def _json_safe(value: Any) -> Any:
-    if value is None or isinstance(value, (bool, int, float, str)):
-        return value
-    return str(value)
 
 
 @dataclass
@@ -58,7 +52,7 @@ def trace_lines(root: Span, meta: dict[str, Any],
                 metrics: MetricsRegistry | None = None) -> Iterator[str]:
     """The JSONL lines of one trace (no trailing newline per line)."""
     yield json.dumps({"type": "meta", "version": TRACE_VERSION,
-                      **{k: _json_safe(v) for k, v in meta.items()}},
+                      **{k: json_safe(v) for k, v in meta.items()}},
                      sort_keys=False)
 
     ids: dict[int, int] = {}
@@ -75,10 +69,10 @@ def trace_lines(root: Span, meta: dict[str, Any],
             "name": span.name,
             "start": round(span.start - origin, 9),
             "dur": round(span.duration, 9),
-            "attrs": {k: _json_safe(v) for k, v in span.attrs.items()},
+            "attrs": {k: json_safe(v) for k, v in span.attrs.items()},
         })
         for event in span.events:
-            payload = {k: _json_safe(v)
+            payload = {k: json_safe(v)
                        for k, v in event_fields(event).items()}
             assert not any(k in payload for k in _RESERVED), payload
             yield json.dumps({"type": "event", "kind": event.kind,

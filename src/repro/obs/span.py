@@ -76,6 +76,15 @@ class Span:
                 f"children={len(self.children)} events={len(self.events)}>")
 
 
+def json_safe(value: Any) -> Any:
+    """*value* if it is ``None`` or exactly a JSON scalar type, else its
+    ``str``.  The type test is exact so an ``int`` subclass such as
+    :class:`~repro.ir.Reg` renders by name (``r3``), not as its code."""
+    if value is None or type(value) in (bool, int, float, str):
+        return value
+    return str(value)
+
+
 def span_to_payload(span: Span) -> dict[str, Any]:
     """A JSON/pickle-safe dict of *span* and its subtree (no events).
 
@@ -88,9 +97,7 @@ def span_to_payload(span: Span) -> dict[str, Any]:
         "name": span.name,
         "start": span.start,
         "end": span.end,
-        "attrs": {k: v if isinstance(v, (bool, int, float, str))
-                  or v is None else str(v)
-                  for k, v in span.attrs.items()},
+        "attrs": {k: json_safe(v) for k, v in span.attrs.items()},
         "children": [span_to_payload(child) for child in span.children],
     }
 

@@ -27,7 +27,7 @@ This module supplies the two pressure-side pieces:
   reload/store temp occupies a register at exactly that point.
 
 Both walks are deterministic: blocks in reverse postorder, victims by
-``(cost, Reg.sort_key)``.
+``(cost, register)``, registers ordering like ``Reg.sort_key``.
 """
 
 from __future__ import annotations
@@ -76,16 +76,18 @@ def compute_block_maxlive(
     is at most the machine's ``k`` for that class.
     """
     index = liveness.index
-    masks = {cls: index.class_mask(cls) for cls in _CLASSES}
+    # per-class lists in _CLASSES order: a RegClass dict key hashes
+    # through Enum.__hash__, a Python call, at every point
+    masks = [index.class_mask(cls) for cls in _CLASSES]
     result: dict[str, dict[RegClass, int]] = {}
     for blk in fn.blocks:
-        best = {cls: 0 for cls in _CLASSES}
+        best = [0] * len(_CLASSES)
         for _inst, bits in _block_points(fn, liveness, blk.label):
-            for cls in _CLASSES:
-                n = (bits & masks[cls]).bit_count()
-                if n > best[cls]:
-                    best[cls] = n
-        result[blk.label] = best
+            for i, mask in enumerate(masks):
+                n = (bits & mask).bit_count()
+                if n > best[i]:
+                    best[i] = n
+        result[blk.label] = dict(zip(_CLASSES, best))
     return result
 
 
@@ -109,8 +111,8 @@ def choose_spill_everywhere(fn: Function, liveness: LivenessInfo,
     :func:`~repro.regalloc.spillcode.insert_spill_code`.
     """
     index = liveness.index
-    masks = {cls: index.class_mask(cls) for cls in _CLASSES}
-    ks = {cls: machine.k(cls) for cls in _CLASSES}
+    classes = [(cls, index.class_mask(cls), machine.k(cls))
+               for cls in _CLASSES]
     cost_of = costs.cost
     spilled: list[Reg] = []
     spilled_bits = 0
@@ -122,12 +124,12 @@ def choose_spill_everywhere(fn: Function, liveness: LivenessInfo,
             pinned: tuple[Reg, ...] = ()
             if inst is not None:
                 pinned = tuple(dict.fromkeys(inst.regs()))
-            for cls in _CLASSES:
-                live = bits & masks[cls] & ~spilled_bits
+            for cls, mask, k in classes:
+                live = bits & mask & ~spilled_bits
                 extra = sum(1 for r in pinned
                             if r.rclass is cls
                             and spilled_bits >> index.ensure(r) & 1)
-                need = live.bit_count() + extra - ks[cls]
+                need = live.bit_count() + extra - k
                 if need <= 0:
                     continue
                 through = live
@@ -136,7 +138,7 @@ def choose_spill_everywhere(fn: Function, liveness: LivenessInfo,
                         through &= ~(1 << index.ensure(r))
                 candidates = sorted(
                     index.iter_regs(through),
-                    key=lambda r: (cost_of.get(r, 0.0), r.sort_key()))
+                    key=lambda r: (cost_of.get(r, 0.0), r))
                 for victim in candidates:
                     if need <= 0:
                         break
@@ -149,7 +151,7 @@ def choose_spill_everywhere(fn: Function, liveness: LivenessInfo,
                             cost=cost_of.get(victim, 0.0),
                             block=label,
                             pressure=live.bit_count() + extra,
-                            k=ks[cls],
+                            k=k,
                             remat_tag=(str(costs.remat[victim])
                                        if victim in costs.remat else None),
                             chosen_because="over-pressure"))

@@ -99,7 +99,7 @@ def _choose_color(node: Reg, available: list[int],
     """Biased choice among *available* colors, plus why it was chosen
     (``biased-partner`` | ``lookahead`` | ``first-free``)."""
     # sorted for cross-run determinism (sets iterate in hash order)
-    mates = sorted(partners.get(node, ()), key=lambda r: r.sort_key())
+    mates = sorted(partners.get(node, ()))
     # 1. a color some colored partner already has
     for mate in mates:
         c = coloring.get(mate)

@@ -9,9 +9,10 @@ anyway ("optimism"): select may still find it a color.
 The phase is exact Briggs but engineered for scale: live nodes are a
 bitset mask (so neighbor walks skip removed nodes with one AND), per-id
 arrays replace per-``Reg`` dict probes on the hot decrement path, and
-the spill-candidate choice is a lazy min-heap over ``(ratio, sort_key)``
+the spill-candidate choice is a lazy min-heap over ``(ratio, node)``
 refreshed on every degree decrement — the same candidate the original
-linear rescan picked (min ratio, ties to the smaller ``sort_key``), at
+linear rescan picked (min ratio, ties to the smaller register, which
+orders like ``sort_key``), at
 ``O(log n)`` per choice instead of ``O(live nodes)``.  Degrees only
 fall, so a popped entry is valid exactly when it matches the node's
 current ratio; stale entries are discarded lazily and the heap is
@@ -81,11 +82,11 @@ def simplify(graph: InterferenceGraph, machine: MachineDescription,
     candidates: set[Reg] = set()
     pessimistic_spills: list[Reg] = []
 
-    # the candidate heap holds (ratio, sort_key, node) for finite-cost
-    # nodes; infinite-cost nodes (spill temps) are only ever a fallback,
-    # served in node order by an advancing pointer
-    heap: list[tuple[float, tuple, Reg]] = [
-        (cost_by_id[i] / max(degree_by_id[i], 1), node.sort_key(), node)
+    # the candidate heap holds (ratio, node) for finite-cost nodes;
+    # infinite-cost nodes (spill temps) are only ever a fallback, served
+    # in node order by an advancing pointer
+    heap: list[tuple[float, Reg]] = [
+        (cost_by_id[i] / max(degree_by_id[i], 1), node)
         for node, i in zip(nodes, ids)
         if not math.isinf(cost_by_id[i])]
     heapify(heap)
@@ -111,9 +112,7 @@ def simplify(graph: InterferenceGraph, machine: MachineDescription,
                 worklist.append(regs_by_id[j])
             c = cost_by_id[j]
             if not math.isinf(c):
-                neighbor = regs_by_id[j]
-                heappush(heap, (c / max(d, 1), neighbor.sort_key(),
-                                neighbor))
+                heappush(heap, (c / max(d, 1), regs_by_id[j]))
 
     def pick_candidate() -> Reg | None:
         nonlocal inf_pos
@@ -121,15 +120,13 @@ def simplify(graph: InterferenceGraph, machine: MachineDescription,
         # linear): rebuild from the currently-alive finite nodes
         if len(heap) > 1024 and len(heap) > 4 * n_alive:
             fresh = [
-                (cost_by_id[i] / max(degree_by_id[i], 1),
-                 reg.sort_key(), reg)
+                (cost_by_id[i] / max(degree_by_id[i], 1), regs_by_id[i])
                 for i in iter_bits(alive_mask)
-                if not math.isinf(cost_by_id[i])
-                for reg in (regs_by_id[i],)]
+                if not math.isinf(cost_by_id[i])]
             heap[:] = fresh
             heapify(heap)
         while heap:
-            ratio, _sk, node = heap[0]
+            ratio, node = heap[0]
             i = index.id(node)
             if (not alive_mask >> i & 1
                     or ratio != cost_by_id[i] / max(degree_by_id[i], 1)):

@@ -99,8 +99,8 @@ def compute_spill_costs(fn: Function, loops: LoopInfo,
         if remat_tag is not None:
             costs.remat[reg] = remat_tag
     if tracer.events_enabled:
-        # dense sort-key order: `seen` iterates in hash order
-        for reg in sorted(costs.remat, key=Reg.sort_key):
+        # register order: `seen` iterates in hash order
+        for reg in sorted(costs.remat):
             tracer.event(RematCost(range=str(reg), cost=costs.cost[reg],
                                    remat_tag=str(costs.remat[reg])))
     return costs

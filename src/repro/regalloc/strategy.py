@@ -358,15 +358,15 @@ def _audit_coloring(work: Function, liveness, coloring: dict[Reg, int],
     graph = build_interference_graph(work, liveness)
     clashing: set[Reg] = set()
     for reg, color in coloring.items():
-        for other in sorted(graph.neighbors(reg), key=Reg.sort_key):
+        for other in sorted(graph.neighbors(reg)):
             if other in clashing or reg in clashing:
                 continue
             if coloring.get(other) == color:
                 victim = min(
                     (reg, other),
-                    key=lambda r: (costs.cost.get(r, 0.0), r.sort_key()))
+                    key=lambda r: (costs.cost.get(r, 0.0), r))
                 clashing.add(victim)
-    return sorted(clashing, key=Reg.sort_key)
+    return sorted(clashing)
 
 
 def _emit_spill_code(ctx: AllocationContext, spilled: list[Reg],

@@ -197,6 +197,9 @@ class ResilientClient:
         self._rng = rng or random.Random()
         self._rng_lock = threading.Lock()
         self._local = threading.local()
+        #: every thread's open connection, so :meth:`close` reaches all
+        self._open: set[ServeClient] = set()
+        self._open_lock = threading.Lock()
         #: transport reconnects + retryable-error retries, lifetime
         self.retries = 0
         self.reconnects = 0
@@ -206,16 +209,21 @@ class ResilientClient:
 
     def _connection(self) -> ServeClient:
         client = getattr(self._local, "client", None)
-        if client is None:
+        # never dialled on this thread, or closed since by close()
+        if client not in self._open:
             client = ServeClient(self.host, self.port,
                                  timeout=self.timeout,
                                  client_id=self.client_id)
             self._local.client = client
+            with self._open_lock:
+                self._open.add(client)
         return client
 
     def _discard_connection(self) -> None:
         client = getattr(self._local, "client", None)
         if client is not None:
+            with self._open_lock:
+                self._open.discard(client)
             client.close()
             self._local.client = None
             with self._stats_lock:
@@ -287,12 +295,13 @@ class ResilientClient:
         return self.call("debug")
 
     def close(self) -> None:
-        """Close *this thread's* connection (other threads' connections
-        close when their threads drop the thread-local)."""
-        client = getattr(self._local, "client", None)
-        if client is not None:
+        """Close every thread's connection.  A thread that calls again
+        afterwards finds its connection closed and re-dials."""
+        with self._open_lock:
+            clients, self._open = self._open, set()
+        for client in clients:
             client.close()
-            self._local.client = None
+        self._local.client = None
 
     def __enter__(self) -> "ResilientClient":
         return self

@@ -89,6 +89,8 @@ logger = logging.getLogger(__name__)
 CLIENT_RATE = 500.0
 #: fair admission: the most tokens one ``client`` can bank
 CLIENT_BURST = 250.0
+#: fair admission: bucket count past which refilled buckets are dropped
+CLIENT_BUCKETS_SWEEP = 1024
 
 
 class TokenBucket:
@@ -116,6 +118,11 @@ class TokenBucket:
             self.tokens -= cost
             return 0.0
         return (cost - self.tokens) / self.rate
+
+    def is_full(self, now: float) -> bool:
+        """True once the bucket has refilled to *burst*: from then on it
+        admits exactly like a fresh bucket."""
+        return self.tokens + (now - self.last) * self.rate >= self.burst
 
 
 @dataclass
@@ -192,8 +199,10 @@ class AllocationServer:
             asyncio.Queue(maxsize=self.config.queue_limit)
         #: key → pending work, for in-flight dedup
         self.inflight: dict[str, _Pending] = {}
-        #: declared ``client`` → its fair-admission bucket
+        #: declared ``client`` → its fair-admission bucket; refilled
+        #: buckets are dropped once the dict reaches ``_sweep_at``
         self.buckets: dict[str, TokenBucket] = {}
+        self._sweep_at = CLIENT_BUCKETS_SWEEP
         self.flight = FlightRecorder(self.config.flight_slots)
         self.draining = False
         self.port: int | None = None
@@ -394,14 +403,25 @@ class AllocationServer:
             return protocol.error_response(request_id, "internal",
                                            f"{type(exc).__name__}: {exc}")
 
-    def _throttle(self, client: str) -> float:
+    def _throttle(self, client: str, now: float | None = None) -> float:
         """Spend one of *client*'s tokens: 0.0, or the seconds until
         its next token accrues."""
+        if now is None:
+            now = time.monotonic()
         bucket = self.buckets.get(client)
         if bucket is None:
-            bucket = self.buckets[client] = TokenBucket(CLIENT_RATE,
-                                                        CLIENT_BURST)
-        return bucket.admit()
+            if len(self.buckets) >= self._sweep_at:
+                # a full bucket admits like the fresh one that would
+                # replace it, so dropping it changes no decision; the
+                # doubling threshold keeps sweeps amortized O(1)
+                self.buckets = {name: kept for name, kept
+                                in self.buckets.items()
+                                if not kept.is_full(now)}
+                self._sweep_at = max(CLIENT_BUCKETS_SWEEP,
+                                     2 * len(self.buckets))
+            bucket = self.buckets[client] = TokenBucket(
+                CLIENT_RATE, CLIENT_BURST, now)
+        return bucket.admit(now)
 
     async def _admit(self, request_id: Any, op: str, spec: Any,
                      record: RequestRecord,

@@ -66,7 +66,8 @@ def construct_ssa(fn: Function, dom: DominanceInfo | None = None,
     if liveness is None:
         liveness = compute_liveness(fn)
     preds_map = fn.predecessors_map()
-    reachable = set(dom.rpo)
+    rpo_position = {label: i for i, label in enumerate(dom.rpo)}
+    reachable = rpo_position.keys()
 
     # -- collect def blocks per register -----------------------------------------
     def_blocks: dict[Reg, set[str]] = {}
@@ -81,7 +82,11 @@ def construct_ssa(fn: Function, dom: DominanceInfo | None = None,
     info = SSAInfo(dom=dom)
     phi_for: dict[tuple[str, Reg], Instruction] = {}
     for reg, blocks in def_blocks.items():
-        for label in iterated_dominance_frontier(dom, blocks):
+        # reverse postorder, not the label set's string-hash order: the
+        # order of ``phi_preds`` decides the order of split insertion
+        # (and of its events), which must not depend on the hash seed
+        for label in sorted(iterated_dominance_frontier(dom, blocks),
+                            key=rpo_position.__getitem__):
             ps = [p for p in preds_map[label] if p in reachable]
             if len(ps) < 2:
                 continue

@@ -1,8 +1,14 @@
 """Tests for registers and instructions."""
 
+import copy
+import json
+import pickle
+import random
+
 import pytest
 
 from repro.ir import Instruction, Opcode, Reg, RegClass
+from repro.obs import Span, Tracer, span_to_payload, trace_to_text
 
 
 class TestReg:
@@ -23,6 +29,76 @@ class TestReg:
     def test_ordering_is_total(self):
         regs = [Reg.vint(5), Reg.vfloat(2), Reg.pint(1), Reg.vint(0)]
         assert sorted(regs) == sorted(regs[::-1])
+
+
+class TestRegIsAnInt:
+    """A register is an ``int``; these pin what that does and does not
+    mean."""
+
+    KINDS = (Reg.vint, Reg.vfloat, Reg.pint, Reg.pfloat)
+
+    def test_never_equals_zero_or_a_small_int(self):
+        assert Reg.vint(0) != 0
+        assert bool(Reg.vfloat(0))
+        for make in self.KINDS:
+            for index in (0, 1, 12, 2**20):
+                reg = make(index)
+                assert reg != index
+                assert reg >= 2**42
+                assert reg  # truthy
+
+    def test_int_order_is_sort_key_order(self):
+        rng = random.Random(7)
+        regs = [rng.choice(self.KINDS)(rng.randrange(5000))
+                for _ in range(4000)]
+        assert sorted(regs) == sorted(regs, key=Reg.sort_key)
+
+    def test_fields_survive_construction(self):
+        for rclass in RegClass:
+            for physical in (False, True):
+                reg = Reg(rclass, 2**40 - 1, physical)
+                assert (reg.rclass, reg.index, reg.physical) == \
+                    (rclass, 2**40 - 1, physical)
+                assert type(reg.index) is int
+
+    def test_out_of_range_index_raises(self):
+        for index in (-1, 2**40):
+            with pytest.raises(ValueError):
+                Reg.vint(index)
+
+    @pytest.mark.parametrize("clone", [
+        lambda r: pickle.loads(pickle.dumps(r)),
+        copy.copy, copy.deepcopy])
+    def test_pickle_and_copy_give_an_equal_register_of_its_kind(self,
+                                                                clone):
+        for make in self.KINDS:
+            reg = make(3)
+            again = clone(reg)
+            assert again == reg and type(again) is type(reg)
+            assert str(again) == str(reg)
+
+    def test_format_prints_the_name_and_rejects_a_spec(self):
+        reg = Reg.vint(3)
+        assert f"{reg}" == "r3"
+        assert "{}".format(Reg.pfloat(2)) == "F2"
+        with pytest.raises(TypeError):
+            f"{reg:d}"
+
+    def test_no_instance_dict(self):
+        assert not hasattr(Reg.vint(1), "__dict__")
+
+    def test_trace_and_span_payload_render_a_register_by_name(self):
+        tracer = Tracer()
+        with tracer.span("probe", reg=Reg.vint(3)):
+            pass
+        lines = [json.loads(line) for line in
+                 trace_to_text(tracer.root,
+                               {"reg": Reg.pfloat(1)}).splitlines()]
+        assert lines[0]["reg"] == "F1"
+        spans = [line for line in lines if line.get("name") == "probe"]
+        assert spans[0]["attrs"]["reg"] == "r3"
+        payload = span_to_payload(Span("probe", {"reg": Reg.vint(3)}))
+        assert payload["attrs"]["reg"] == "r3"
 
 
 class TestInstruction:
@@ -74,6 +150,16 @@ class TestInstruction:
                           srcs=(Reg.vfloat(1),))
         with pytest.raises(ValueError):
             bad.validate()
+
+    @pytest.mark.parametrize("opcode, reg", [
+        (Opcode.LDI, Reg.vint(4)), (Opcode.LDF, Reg.vint(4)),
+        (Opcode.SPLD, Reg.pint(0))])
+    def test_validate_rejects_a_register_as_immediate(self, opcode, reg):
+        # a Reg is an int, so the int-immediate check alone would pass it
+        dest = Reg.vfloat(0) if opcode is Opcode.LDF else Reg.vint(0)
+        inst = Instruction(opcode, dests=(dest,), imms=(reg,))
+        with pytest.raises(ValueError, match="immediate"):
+            inst.validate()
 
     def test_rewrite_regs(self):
         inst = Instruction(Opcode.ADD, dests=(Reg.vint(2),),

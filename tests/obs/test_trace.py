@@ -2,6 +2,9 @@
 span-tree property tests over random CFGs (ISSUE satellite 4)."""
 
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -183,3 +186,45 @@ def test_untraced_allocation_still_carries_times():
     assert math.isfinite(result.clone_time)
     assert result.trace is not None
     assert result.trace.name == "allocate"
+
+
+# -- hash-seed independence ----------------------------------------------------
+
+#: prints the timing-stripped trace and the allocated ILOC of two fehl
+#: allocations at 6+6 registers (both strategies, both renumber schemes)
+_SEEDED_TRACE = """
+import json
+from repro.benchsuite import KERNELS_BY_NAME
+from repro.ir import function_to_text
+from repro.machine import machine_with
+from repro.obs import Tracer, trace_to_text
+from repro.regalloc import allocate
+from repro.remat import RenumberMode
+
+for mode, allocator in (("remat", "iterated"), ("chaitin", "ssa")):
+    tracer = Tracer(capture_events=True)
+    result = allocate(KERNELS_BY_NAME["fehl"].compile(),
+                      machine=machine_with(6, 6), mode=RenumberMode(mode),
+                      allocator=allocator, tracer=tracer)
+    for line in trace_to_text(result.trace, {}).splitlines():
+        record = json.loads(line)
+        record.pop("start", None)
+        record.pop("dur", None)
+        print(json.dumps(record))
+    print(function_to_text(result.function))
+"""
+
+
+def test_traces_do_not_depend_on_the_hash_seed():
+    """Decision events, their order and the allocated code are the same
+    in two processes with different string-hash seeds."""
+    outputs = []
+    for seed in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", _SEEDED_TRACE], capture_output=True,
+            text=True, timeout=120,
+            env={**os.environ, "PYTHONHASHSEED": seed})
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert '"kind": "split_inserted"' in outputs[0]
+    assert outputs[0] == outputs[1]

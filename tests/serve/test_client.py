@@ -4,6 +4,7 @@ import json
 import socket
 import socketserver
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -85,12 +86,27 @@ class TestResilientClient:
             for thread in threads:
                 thread.start()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            connections = list(client._open)
+            assert len(connections) == 6      # one per thread
+            client.close()                    # from the main thread
+            assert all(c.sock.fileno() == -1 for c in connections)
         expected = [dumps(summary_to_json(o)) for o in
                     serial_engine().run_many(
                         [request_from_json(spec(n % 2))
                          for n in range(6)])]
         assert [results[n] for n in range(6)] == expected
+
+
+    def test_a_thread_redials_after_close_took_its_connection(self):
+        with ServerThread(serial_engine()) as srv, \
+                ResilientClient("127.0.0.1", srv.port) as client, \
+                ThreadPoolExecutor(max_workers=1) as worker:
+            assert worker.submit(client.ping).result(timeout=60)
+            client.close()
+            assert worker.submit(client.ping).result(timeout=60)
+            assert client.reconnects == 0
 
 
 class _StubHandler(socketserver.StreamRequestHandler):

@@ -18,7 +18,8 @@ from repro.serve import (AllocationServer, LoadReport, ServeClient,
                          ServeConfig, ServerThread, TokenBucket,
                          run_load)
 from repro.serve.protocol import encode_line
-from repro.serve.server import CLIENT_BURST, CLIENT_RATE
+from repro.serve.server import (CLIENT_BUCKETS_SWEEP, CLIENT_BURST,
+                               CLIENT_RATE)
 
 from ..helpers import single_loop
 
@@ -89,6 +90,25 @@ def test_per_client_token_bucket_throttles_the_flood():
     assert (server.buckets["tenant-b"].rate,
             server.buckets["tenant-b"].burst) == (CLIENT_RATE, CLIENT_BURST)
     assert set(server.buckets) == {"tenant-a", "tenant-b"}
+
+
+def test_refilled_buckets_are_dropped_but_a_throttled_one_stays():
+    """Distinct ``client`` values cannot grow the bucket table without
+    bound: past a fixed size, buckets that have refilled to their burst
+    (which admit like fresh ones) are dropped.  A throttled client's
+    bucket is not full, so it survives and the client stays
+    throttled."""
+    server = AllocationServer(ExperimentEngine(jobs=1, use_cache=False),
+                              ServeConfig())
+    server.buckets["greedy"] = TokenBucket(rate=0.001, burst=1.0, now=0.0)
+    assert server._throttle("greedy", now=0.0) == 0.0
+    assert server._throttle("greedy", now=0.0) > 0.0
+    for i in range(10_000):
+        # 10 ms apart: each earlier one-shot bucket has refilled
+        assert server._throttle(f"tenant-{i}", now=0.01 * i) == 0.0
+        assert len(server.buckets) <= CLIENT_BUCKETS_SWEEP
+    assert "greedy" in server.buckets
+    assert server._throttle("greedy", now=100.0) > 0.0
 
 
 def polite_load(port: int) -> LoadReport:
