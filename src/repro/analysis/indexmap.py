@@ -32,12 +32,15 @@ class RegIndex:
     being contiguous.
     """
 
-    __slots__ = ("_ids", "_regs", "_class_masks")
+    __slots__ = ("_ids", "_regs", "_int_mask", "_float_mask")
 
     def __init__(self, regs: Iterable[Reg] = ()) -> None:
         self._ids: dict[Reg, int] = {}
         self._regs: list[Reg] = []
-        self._class_masks: dict[RegClass, int] = {}
+        # one attribute per class, not a RegClass-keyed dict: a RegClass
+        # key hashes through Enum.__hash__, a Python call, on every lookup
+        self._int_mask = 0
+        self._float_mask = 0
         for reg in regs:
             self.ensure(reg)
 
@@ -57,8 +60,10 @@ class RegIndex:
             i = len(self._regs)
             self._ids[reg] = i
             self._regs.append(reg)
-            self._class_masks[reg.rclass] = (
-                self._class_masks.get(reg.rclass, 0) | (1 << i))
+            if reg.rclass is RegClass.INT:
+                self._int_mask |= 1 << i
+            else:
+                self._float_mask |= 1 << i
         return i
 
     def id(self, reg: Reg) -> int:
@@ -81,7 +86,7 @@ class RegIndex:
 
     def class_mask(self, rclass: RegClass) -> int:
         """Bitset of every index whose register belongs to *rclass*."""
-        return self._class_masks.get(rclass, 0)
+        return self._int_mask if rclass is RegClass.INT else self._float_mask
 
     def universe_mask(self) -> int:
         """Bitset with every index set."""

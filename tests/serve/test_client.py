@@ -3,6 +3,7 @@
 import json
 import socket
 import socketserver
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -83,10 +84,17 @@ class TestResilientClient:
 
             threads = [threading.Thread(target=one, args=(n,))
                        for n in range(6)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            # switch threads often while they dial and register their
+            # connections in the client's shared set
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+            finally:
+                sys.setswitchinterval(interval)
             assert not any(thread.is_alive() for thread in threads)
             connections = list(client._open)
             assert len(connections) == 6      # one per thread
@@ -97,7 +105,6 @@ class TestResilientClient:
                         [request_from_json(spec(n % 2))
                          for n in range(6)])]
         assert [results[n] for n in range(6)] == expected
-
 
     def test_a_thread_redials_after_close_took_its_connection(self):
         with ServerThread(serial_engine()) as srv, \
