@@ -1,6 +1,6 @@
 """Build/liveness scaling: incremental maintenance vs. from-scratch.
 
-Three races on generated functions of growing size (now up to ~80k
+Two races on generated functions of growing size (now up to ~80k
 instructions), each written as one row of the scaling curve in
 ``results/BENCH_build.json``:
 
@@ -9,44 +9,32 @@ instructions), each written as one row of the scaling curve in
    ``tests/reference_impl.py``.  The seed build is quadratic-ish, so
    this race only runs at the points where it finishes in reasonable
    time; the bitset build is timed everywhere.
-2. **Spill-patch analysis race**: real allocation rounds are run to
-   produce a genuine spill delta, then the incremental path
-   (``LivenessInfo.apply_delta`` + ``InterferenceGraph.
-   refresh_after_spill``) races a full recompute+rebuild over the
-   post-spill code.  The patched results are diffed against the fresh
-   ones, so the race is honest by construction.  The delta raced is
-   the *steady-state* one — the deepest spilling round up to
-   ``PATCH_ROUND`` — because round 1 at bench register pressure spills
-   a near-global fraction of the ranges (87% of the blocks dirty at
-   the largest point), which no patch scheme should be expected to
-   beat by 2x; rounds 2+ are what the allocator's inner loop actually
-   replays.  The CI gate lives here: at the largest point the raced
-   round must be >= 2 and the incremental analysis must cost <= 0.5x
-   the from-scratch one.
-3. **End-to-end allocation race** (the 50k+ points): ``allocate()`` in
-   its default incremental configuration against the pre-incremental
-   configuration — from-scratch analyses every round
-   (``incremental=False``) with the seed color phases preserved in
-   ``tests/reference_impl.py``.  Both arms produce byte-identical
-   output (asserted at a mid-size point).  Skippable with
-   ``BENCH_E2E=0`` for quick runs; the JSON then carries nulls.
+2. **Spill-patch liveness race**: real allocation rounds are run to
+   produce a genuine spill delta, then ``LivenessInfo.apply_delta`` —
+   what the allocator's analysis manager does after every spill round
+   — races a full ``compute_liveness`` over the post-spill code.  The
+   patched liveness is diffed against the fresh one, so the race is
+   honest by construction.  The delta raced is the *steady-state* one
+   — the deepest spilling round up to ``PATCH_ROUND`` — because round 1
+   at bench register pressure spills a near-global fraction of the
+   ranges (87% of the blocks dirty at the largest point), which no
+   patch scheme should be expected to beat by 2x; rounds 2+ are what
+   the allocator's inner loop actually replays.  The CI gate lives
+   here: at the largest point the raced round must be >= 2 and the
+   patch must cost <= 0.5x the from-scratch fixed point.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import time
 
 from repro.analysis import compute_liveness, diff_liveness
 from repro.benchsuite import GeneratorConfig, KERNELS_BY_NAME, random_program
-from repro.ir import function_to_text
 from repro.machine import machine_with
 from repro.passes import AnalysisManager
-from repro.regalloc import (allocate, build_interference_graph,
-                            run_renumber)
+from repro.regalloc import build_interference_graph, run_renumber
 from repro.regalloc.coalesce import build_coalesce_loop
-from repro.regalloc.interference import diff_graphs
 from repro.regalloc.select import find_partners, select
 from repro.regalloc.simplify import simplify
 from repro.regalloc.spillcode import insert_spill_code
@@ -54,8 +42,7 @@ from repro.regalloc.spillcost import compute_spill_costs
 from repro.remat import RenumberMode
 
 from tests.reference_impl import (ref_build_interference_graph,
-                                  ref_compute_liveness, ref_select,
-                                  ref_simplify)
+                                  ref_compute_liveness)
 
 from .conftest import save_result
 
@@ -74,16 +61,11 @@ REPEATS = 5
 #: the seed set-based build is quadratic-ish; race it only where it
 #: finishes in seconds (the bitset arm is timed at every point)
 SEED_RACE_MAX_INSTS = 10_000
-#: end-to-end allocation race threshold: the issue's 50k+ points
-E2E_MIN_INSTS = 30_000
-#: mid-size point where both end-to-end arms are asserted byte-identical
-E2E_EQUIV_POINT = "gen-l"
 #: deepest round whose spill delta the patch race captures: round 1 at
 #: bench pressure dirties ~87% of the blocks (near-global), rounds 2-3
 #: are the steady-state deltas the allocator's inner loop replays
 PATCH_ROUND = 3
 BENCH_MACHINE = machine_with(10, 10)
-RUN_E2E = os.environ.get("BENCH_E2E", "1") != "0"
 
 
 def _post_renumber(fn):
@@ -134,11 +116,11 @@ def _seed_build(fn):
 def _spill_rounds(fn, machine, rounds=1):
     """Advance *fn* in place through up to *rounds* real allocation
     rounds (renumber, build-coalesce, color, spill insertion each) and
-    capture the deepest round that spilled: its post-coalesce graph,
-    its pre-spill liveness, its spill delta, and its round number — or
-    ``None`` if round 1 already colors.  *fn* is left exactly as the
-    captured round's spill insertion left it, so the caller can race
-    the delta patch against from-scratch analyses of that code."""
+    capture the deepest round that spilled: its pre-spill liveness, its
+    spill delta, and its round number — or ``None`` if round 1 already
+    colors.  *fn* is left exactly as the captured round's spill
+    insertion left it, so the caller can race the delta patch against a
+    from-scratch fixed point over that code."""
     captured = None
     for round_no in range(1, rounds + 1):
         if round_no > 1:
@@ -157,97 +139,37 @@ def _spill_rounds(fn, machine, rounds=1):
             break
         pristine = liveness.clone()
         spill_stats = insert_spill_code(fn, chosen.spilled, costs)
-        captured = (graph, pristine, spill_stats.delta, round_no)
+        captured = (pristine, spill_stats.delta, round_no)
     return captured
 
 
-def _patch_race(fn, graph, pristine, delta, patch_round):
-    """Race the incremental spill-patch analysis against from-scratch
-    over the post-spill code; diff both results so the race is
+def _patch_race(fn, pristine, delta, patch_round):
+    """Race the spill-delta liveness patch against a from-scratch fixed
+    point over the post-spill code; diff both results so the race is
     honest."""
     patched = pristine.clone()
     update_stats = patched.apply_delta(delta)
-    fresh_liveness = compute_liveness(fn)
-    problems = diff_liveness(patched, fresh_liveness)
-    assert not problems, problems[:5]
-
-    patched_graph = graph.clone()
-    patch_stats = patched_graph.refresh_after_spill(fn, patched, delta)
-    fresh_graph = build_interference_graph(fn, patched)
-    problems = diff_graphs(patched_graph, fresh_graph)
+    problems = diff_liveness(patched, compute_liveness(fn))
     assert not problems, problems[:5]
     # the acceptance reconciliation: every incremental update touches a
     # strict subset of the blocks
     assert update_stats.blocks_reanalyzed < update_stats.blocks_total
 
-    t_liveness_update = _time_with_setup(
-        pristine.clone, lambda lv: lv.apply_delta(delta))
-    t_liveness_full = _time(lambda: compute_liveness(fn))
-    t_graph_patch = _time_with_setup(
-        graph.clone, lambda g: g.refresh_after_spill(fn, patched, delta))
-    t_graph_full = _time(lambda: build_interference_graph(fn, patched))
+    t_update = _time_with_setup(pristine.clone,
+                                lambda lv: lv.apply_delta(delta))
+    t_full = _time(lambda: compute_liveness(fn))
     return {
         "patch_round": patch_round,
-        "liveness_update_seconds": round(t_liveness_update, 6),
-        "liveness_full_seconds": round(t_liveness_full, 6),
-        "graph_patch_seconds": round(t_graph_patch, 6),
-        "graph_full_seconds": round(t_graph_full, 6),
-        "patch_incremental_seconds": round(
-            t_liveness_update + t_graph_patch, 6),
-        "patch_from_scratch_seconds": round(
-            t_liveness_full + t_graph_full, 6),
-        "patch_speedup": round((t_liveness_full + t_graph_full)
-                               / (t_liveness_update + t_graph_patch), 2),
+        "liveness_update_seconds": round(t_update, 6),
+        "liveness_full_seconds": round(t_full, 6),
+        "patch_speedup": round(t_full / t_update, 2),
         "blocks_reanalyzed": update_stats.blocks_reanalyzed,
-        "blocks_rescanned": patch_stats.blocks_rescanned,
         "blocks_total": update_stats.blocks_total,
-        "edges_patched": patch_stats.edges_patched,
-    }
-
-
-def _allocate_incremental(fn):
-    return allocate(fn, machine=BENCH_MACHINE, mode=RenumberMode.REMAT)
-
-
-def _allocate_baseline(fn):
-    """The pre-incremental configuration: from-scratch analyses every
-    round plus the seed color phases (monkeypatched in for the timing
-    run, restored immediately after)."""
-    import repro.regalloc.allocator as allocator_mod
-
-    saved = (allocator_mod.simplify, allocator_mod.select)
-    allocator_mod.simplify = ref_simplify
-    allocator_mod.select = ref_select
-    try:
-        return allocate(fn, machine=BENCH_MACHINE, mode=RenumberMode.REMAT,
-                        incremental=False)
-    finally:
-        allocator_mod.simplify, allocator_mod.select = saved
-
-
-def _e2e_race(config, equivalence: bool):
-    fn = random_program(SEED, config)
-    t0 = time.perf_counter()
-    inc = _allocate_incremental(fn)
-    t_inc = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    base = _allocate_baseline(fn)
-    t_base = time.perf_counter() - t0
-    if equivalence:
-        assert (function_to_text(inc.function)
-                == function_to_text(base.function))
-    assert base.stats.n_liveness_updates == 0
-    return {
-        "rounds": inc.stats.n_rounds,
-        "e2e_incremental_seconds": round(t_inc, 4),
-        "e2e_baseline_seconds": round(t_base, 4),
-        "e2e_speedup": round(t_base / t_inc, 2),
     }
 
 
 def test_build_scaling(results_dir):
     rows = []
-    configs = dict(SCALES)
     for label, fn in _specimens():
         row = {
             "name": label,
@@ -273,19 +195,11 @@ def test_build_scaling(results_dir):
             row.update(_patch_race(fn, *fixture))
         else:
             row["patch_speedup"] = None
-
-        if RUN_E2E and label in configs and fn.size() >= E2E_MIN_INSTS:
-            row.update(_e2e_race(configs[label],
-                                 equivalence=label == E2E_EQUIV_POINT))
-        elif RUN_E2E and label == E2E_EQUIV_POINT:
-            # cheap point: only the byte-identity check, no timing row
-            _e2e_race(configs[label], equivalence=True)
         rows.append(row)
 
     header = (f"{'function':>10} {'insts':>6} {'blocks':>6} {'edges':>8} "
-              f"{'build(s)':>9} {'rd':>3} {'patch full':>10} "
-              f"{'patch incr':>10} {'patch x':>8} "
-              f"{'e2e base':>9} {'e2e incr':>9} {'e2e x':>6}")
+              f"{'build(s)':>9} {'rd':>3} {'live full':>10} "
+              f"{'live patch':>10} {'patch x':>8}")
     lines = [header, "-" * len(header)]
     for r in rows:
         def cell(key, width, fmt="{:.4f}"):
@@ -296,12 +210,9 @@ def test_build_scaling(results_dir):
             f"{r['n_edges']:>8}"
             + cell("bitset_seconds", 10)
             + cell("patch_round", 4, "{:d}")
-            + cell("patch_from_scratch_seconds", 11)
-            + cell("patch_incremental_seconds", 11)
-            + cell("patch_speedup", 9, "{:.1f}x")
-            + cell("e2e_baseline_seconds", 10, "{:.1f}")
-            + cell("e2e_incremental_seconds", 10, "{:.1f}")
-            + cell("e2e_speedup", 7, "{:.1f}x"))
+            + cell("liveness_full_seconds", 11)
+            + cell("liveness_update_seconds", 11)
+            + cell("patch_speedup", 9, "{:.1f}x"))
     save_result(results_dir, "bench_build_scaling", "\n".join(lines))
 
     largest = max(rows, key=lambda r: r["n_insts"])
@@ -314,22 +225,15 @@ def test_build_scaling(results_dir):
         "arms": {
             "seed": "seed set-based liveness + build (reference_impl)",
             "bitset": "dense-bitset liveness + build, from scratch",
-            "patch_from_scratch": "full liveness recompute + full graph "
-                                  "rebuild over the post-spill code of "
-                                  "the captured round (patch_round)",
-            "patch_incremental": "apply_delta liveness patch + "
-                                 "refresh_after_spill graph patch for "
-                                 "the same round's spill delta",
-            "e2e_baseline": "allocate(incremental=False) with the seed "
-                            "color phases (the pre-incremental allocator)",
-            "e2e_incremental": "allocate() default: incremental analyses "
-                               "+ bitset color phases",
+            "liveness_full": "compute_liveness over the post-spill code "
+                             "of the captured round (patch_round)",
+            "liveness_update": "apply_delta liveness patch for the same "
+                               "round's spill delta",
         },
         "rows": rows,
         "largest": largest["name"],
         "largest_patch_round": largest.get("patch_round"),
         "largest_patch_speedup": largest.get("patch_speedup"),
-        "largest_e2e_speedup": largest.get("e2e_speedup"),
     }
     (results_dir / "BENCH_build.json").write_text(
         json.dumps(payload, indent=2) + "\n")
@@ -341,15 +245,9 @@ def test_build_scaling(results_dir):
                       key=lambda r: r["n_insts"])
     assert largest_gen["speedup"] >= 2.0, largest_gen
 
-    # CI gate: at the largest bench point the incremental analysis of a
-    # round-2+ spill delta must cost <= 0.5x the from-scratch rebuild
+    # CI gate: at the largest bench point the liveness patch of a
+    # round-2+ spill delta must cost <= 0.5x the from-scratch fixed point
     assert largest.get("patch_speedup") is not None, largest
     assert largest["patch_round"] >= 2, largest
-    assert (largest["patch_incremental_seconds"]
-            <= 0.5 * largest["patch_from_scratch_seconds"]), largest
-
-    # end-to-end: >= 2x at every 50k+ point where the baseline arm ran
-    for r in rows:
-        if r["n_insts"] >= 50_000 and r.get("e2e_speedup") is not None:
-            assert r["rounds"] >= 2, r
-            assert r["e2e_speedup"] >= 2.0, r
+    assert (largest["liveness_update_seconds"]
+            <= 0.5 * largest["liveness_full_seconds"]), largest

@@ -6,6 +6,7 @@ These are not paper experiments but keep the reproduction's moving parts
 honest — a slow substrate would distort Table 2's phase proportions.
 """
 
+import statistics
 import time
 
 import pytest
@@ -20,6 +21,13 @@ from repro.remat import RenumberMode
 from repro.ssa import construct_ssa
 
 BIG = KERNELS_BY_NAME["twldrv"]
+#: interleaved pairs behind the pass-overhead gate.  The FMM suite takes
+#: ~50 ms, and on a shared 2-vCPU Intel Xeon (Python 3.11.7) one pair's
+#: ratio spreads over an interquartile range of about 0.96-1.04.  Over
+#: repeated runs the best of 15 read 0.996-1.031 (while the managed arm
+#: still copied each function twice); the median of 101 pairs, each arm
+#: copying once, read 0.995-1.005
+PASS_OVERHEAD_PAIRS = 101
 #: the decode-once interpreter must beat the seed interpreter by this much
 #: (measured 17.7x, 16.8x and 11.1x under Python 3.10, 3.11 and 3.12 on a
 #: 2-vCPU AMD EPYC VM)
@@ -175,20 +183,29 @@ def test_interference_rebuild_with_cached_liveness(benchmark):
 # -- pass-pipeline overhead -------------------------------------------------------
 
 def _direct_allocate(fn, machine, mode):
-    """The pre-refactor allocation loop: phase functions called directly
-    with no AnalysisManager and no invalidation bookkeeping — the
-    baseline the pipeline-managed ``allocate`` is raced against.  Spans
-    and the final verification are kept (both predate the pass layer),
-    so the race isolates exactly the manager's cost.
-    Decision-for-decision identical by construction (asserted below)."""
+    """The iterated allocation loop with its phase functions called
+    directly: no AnalysisManager, no invalidation bookkeeping — the
+    baseline the pipeline-managed ``allocate`` is raced against.
+
+    It does the managed path's analysis work by hand.  Dominance and
+    loops are computed once.  Each round's liveness lives in a local:
+    the interference build computes it, the coalescer renames it in
+    place, spill insertion patches it through its delta, and the next
+    round's SSA construction prunes with it, so only the first round's
+    SSA construction and each build run a fixed point.  Spans and the
+    final verification are kept (both predate the pass layer), so the
+    race isolates exactly the manager's cost.  Decision-for-decision
+    identical by construction (asserted below)."""
     from repro.analysis import compute_dominance, compute_loops
     from repro.ir import verify_function
-    from repro.regalloc.allocator import AllocationStats, _assign_physical
     from repro.regalloc.coalesce import build_coalesce_loop
     from repro.regalloc.select import find_partners, select
     from repro.regalloc.simplify import simplify
     from repro.regalloc.spillcode import insert_spill_code
     from repro.regalloc.spillcost import compute_spill_costs
+    from repro.regalloc.strategy import AllocationStats, _assign_physical
+    from repro.remat import apply_plan, plan_unions, propagate_tags
+    from repro.ssa import SSAGraph
 
     tracer = Tracer()
     with tracer.span("allocate", fn=fn.name, mode=mode.value,
@@ -202,13 +219,21 @@ def _direct_allocate(fn, machine, mode):
             loops = compute_loops(work, dom)
         stats = AllocationStats()
         no_spill_regs = set()
+        liveness = None  # round 1's SSA construction computes its own
         for round_index in range(50):
             with tracer.span("round", index=round_index):
                 with tracer.span("renumber"):
-                    outcome = run_renumber(work, mode, dom=dom,
-                                           no_spill_regs=no_spill_regs,
-                                           tracer=tracer)
-                no_spill = outcome.no_spill
+                    info = construct_ssa(work, dom=dom, liveness=liveness)
+                    tags = None
+                    if mode is RenumberMode.REMAT:
+                        tags = propagate_tags(SSAGraph.build(work, info))
+                    renumbered = apply_plan(
+                        work, info, plan_unions(work, info, tags, mode),
+                        tags, tracer=tracer)
+                no_spill = {
+                    lr for lr, values in renumbered.members.items()
+                    if any(info.orig_reg[v] in no_spill_regs
+                           for v in values)}
                 with tracer.span("build"):
                     liveness = compute_liveness(work)
                     graph, _cstats = build_coalesce_loop(
@@ -231,6 +256,7 @@ def _direct_allocate(fn, machine, mode):
                 with tracer.span("spill"):
                     spill_stats = insert_spill_code(work, chosen.spilled,
                                                     costs)
+                liveness.apply_delta(spill_stats.delta)
                 no_spill_regs = no_spill | spill_stats.new_temps
         else:
             raise AssertionError("direct replica did not converge")
@@ -270,10 +296,31 @@ def _race(job_a, job_b, repeats=15):
     return best_a, best_b
 
 
+def _paired_ratio(job_a, job_b, pairs):
+    """Per-arm median CPU seconds and the quartiles of the per-pair
+    ratio a/b over *pairs* interleaved pairs, alternating which job goes
+    first, so machine drift and run order hit both arms equally.  Both
+    jobs are single-threaded and in-process, so this process's CPU time
+    measures them without the time other tenants of the machine take."""
+    job_a(), job_b()  # warm caches outside the timed region
+    times = {job_a: [], job_b: []}
+    ratios = []
+    for index in range(pairs):
+        order = (job_a, job_b) if index % 2 == 0 else (job_b, job_a)
+        for job in order:
+            t0 = time.process_time()
+            job()
+            times[job].append(time.process_time() - t0)
+        ratios.append(times[job_a][-1] / times[job_b][-1])
+    return (statistics.median(times[job_a]), statistics.median(times[job_b]),
+            statistics.quantiles(ratios, n=4))
+
+
 def test_pass_overhead_within_two_percent(results_dir):
-    """ISSUE acceptance: driving allocation through the pass layer (one
-    AnalysisManager, PreservedAnalyses invalidation) costs <= 2% over
-    direct phase calls on a whole kernel-suite run, and the
+    """Driving allocation through the pass layer (one AnalysisManager,
+    PreservedAnalyses invalidation) costs <= 2% over direct phase calls
+    on a whole kernel-suite run — the median of the per-pair ratios over
+    ``PASS_OVERHEAD_PAIRS`` interleaved pairs — and the
     redundant-analysis accounting shows what the manager saves."""
     import json
 
@@ -288,30 +335,33 @@ def test_pass_overhead_within_two_percent(results_dir):
 
     totals = {"rounds": 0, "computed": 0, "reused": 0, "liveness": 0}
     for fn in fns:
-        result = allocate(fn.clone(), machine=machine, mode=mode)
+        result = allocate(fn, machine=machine, mode=mode)
         direct_fn = _direct_allocate(fn, machine, mode)
         assert function_to_text(result.function) == \
             function_to_text(direct_fn), fn.name
         stats = result.stats
-        # the manager bounds recomputation: two liveness fixed points
-        # per round (SSA pruning + build), CFG analyses exactly once
-        assert stats.n_liveness_computed == 2 * stats.n_rounds
+        # the manager bounds recomputation: one liveness fixed point per
+        # build plus the first round's SSA pruning (later rounds prune
+        # with the spill-patched liveness), CFG analyses exactly once
+        assert stats.n_liveness_computed == stats.n_rounds + 1
         assert stats.n_analyses_computed == stats.n_liveness_computed + 2
         totals["rounds"] += stats.n_rounds
         totals["computed"] += stats.n_analyses_computed
         totals["reused"] += stats.n_analyses_reused
         totals["liveness"] += stats.n_liveness_computed
 
+    # allocate() clones its input, as the replica does: both arms copy
+    # each function exactly once
     def managed_suite():
         for fn in fns:
-            allocate(fn.clone(), machine=machine, mode=mode)
+            allocate(fn, machine=machine, mode=mode)
 
     def direct_suite():
         for fn in fns:
             _direct_allocate(fn, machine, mode)
 
-    t_managed, t_direct = _race(managed_suite, direct_suite)
-    alloc_ratio = t_managed / t_direct
+    t_managed, t_direct, (q1, alloc_ratio, q3) = _paired_ratio(
+        managed_suite, direct_suite, PASS_OVERHEAD_PAIRS)
 
     opt_seed = BIG.compile()
     t_opt_managed, t_opt_direct = _race(
@@ -320,13 +370,17 @@ def test_pass_overhead_within_two_percent(results_dir):
 
     payload = {
         "benchmark": "pass_overhead",
-        "unit": "seconds (best of 7, interleaved)",
+        "unit": f"seconds (allocate: CPU time, median of "
+                f"{PASS_OVERHEAD_PAIRS} interleaved pairs; optimize: wall "
+                "time, best of 15, interleaved)",
         "generated_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
         "suite": f"FMM x {len(fns)} kernels",
         "machine": machine.name,
         "allocate_managed_seconds": round(t_managed, 6),
         "allocate_direct_seconds": round(t_direct, 6),
         "allocate_overhead_ratio": round(alloc_ratio, 4),
+        "allocate_overhead_ratio_q1": round(q1, 4),
+        "allocate_overhead_ratio_q3": round(q3, 4),
         "optimize_managed_seconds": round(t_opt_managed, 6),
         "optimize_direct_seconds": round(t_opt_direct, 6),
         "optimize_overhead_ratio": round(t_opt_managed / t_opt_direct, 4),

@@ -28,7 +28,7 @@ def comparison():
         run_g = run_function(global_.function, args=list(kernel.args))
         rows.append((kernel.name, MACHINE.cycles(run_l.counts),
                      MACHINE.cycles(run_g.counts),
-                     local.total_time, global_.total_time))
+                     local.trace.duration, global_.trace.duration))
     return rows
 
 

@@ -26,7 +26,7 @@ Commands
   instead of aborting the table (see ``docs/robustness.md``)
 * ``cache {stats,verify,gc}`` — inspect, re-checksum, or sweep the
   persistent result cache and its ``quarantine/`` directory (``gc``
-  also migrates legacy flat entries into their shards)
+  also deletes entries of the pre-shard flat layout)
 * ``serve``             — run the persistent allocation server: a worker
   pool spawned at start plus the shared result cache behind one
   JSONL/TCP front end with admission control, per-client fair
@@ -370,8 +370,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
     else:  # gc
         swept = cache.gc()
         print(f"removed {swept['quarantined_removed']} quarantined "
-              f"entries, {swept['tmp_removed']} stray temp files; "
-              f"migrated {swept['migrated']} legacy entries into shards")
+              f"entries, {swept['tmp_removed']} stray temp files and "
+              f"{swept['flat_removed']} flat-layout entries")
     return 0
 
 

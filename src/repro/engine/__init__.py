@@ -13,7 +13,7 @@ workers, the supervisor and the cache.
 
 from .cache import (CacheStats, ResultCache, SHARD_WIDTH,
                     default_cache_dir, QUARANTINE_DIR)
-from .engine import (BatchStats, EngineStats, ExperimentEngine,
+from .engine import (EngineStats, ExperimentEngine,
                      RequestObservation, default_engine)
 from .executor import execute_request
 from .faults import (CORRUPTION_KINDS, FaultPlan, InjectedFault,
@@ -28,7 +28,6 @@ from .supervisor import (AttemptObservation, ExperimentError,
 __all__ = [
     "AllocationSummary",
     "AttemptObservation",
-    "BatchStats",
     "CACHE_VERSION",
     "CORRUPTION_KINDS",
     "CacheStats",

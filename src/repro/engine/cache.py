@@ -8,10 +8,10 @@ processes can race on the same key without ever exposing a partial file
 Storage is **sharded** by the first :data:`SHARD_WIDTH` hex characters
 of the key (256 subdirectories), so many server processes sharing one
 store spread their directory operations instead of contending on one
-giant flat directory.  Reads fall back to the legacy flat layout
-(``<key>.pkl`` directly under the store) so a store written by an
-older binary keeps answering; ``repro cache gc`` migrates flat entries
-into their shards.
+giant flat directory.  Entries of the pre-shard flat layout
+(``<key>.pkl`` directly under the store) carry keys older than
+``CACHE_VERSION`` 5, so no request can match them: reads ignore them
+and ``repro cache gc`` deletes them.
 
 Entries are **checksummed envelopes**, not bare pickles::
 
@@ -118,17 +118,10 @@ class ResultCache:
         """The canonical (sharded) location for *key* — where writes go."""
         return self.directory / key[:SHARD_WIDTH] / f"{key}.pkl"
 
-    def _legacy_path(self, key: str) -> pathlib.Path:
-        """The pre-shard flat location, still honoured by reads."""
-        return self.directory / f"{key}.pkl"
-
     def locate(self, key: str) -> pathlib.Path | None:
-        """Where the entry for *key* currently lives (shard first, then
-        the legacy flat layout), or ``None`` if absent."""
-        for path in (self._path(key), self._legacy_path(key)):
-            if path.is_file():
-                return path
-        return None
+        """Where the entry for *key* lives, or ``None`` if absent."""
+        path = self._path(key)
+        return path if path.is_file() else None
 
     @property
     def quarantine_dir(self) -> pathlib.Path:
@@ -142,17 +135,15 @@ class ResultCache:
         A present-but-invalid entry is quarantined and reported as a
         miss — callers re-execute and overwrite, so corruption heals.
         """
-        for path in (self._path(key), self._legacy_path(key)):
-            try:
-                data = path.read_bytes()
-            except OSError:
-                continue
-            summary = self._validate(data, key)
-            if summary is None:
-                self._quarantine(path)
-                return None
-            return summary
-        return None
+        path = self._path(key)
+        try:
+            data = path.read_bytes()
+        except OSError:
+            return None
+        summary = self._validate(data, key)
+        if summary is None:
+            self._quarantine(path)
+        return summary
 
     def _validate(self, data: bytes,
                   key: str) -> AllocationSummary | None:
@@ -256,21 +247,10 @@ class ResultCache:
                       and set(p.name) <= _HEX)
 
     def entries(self) -> list[pathlib.Path]:
-        """Every entry, sharded and legacy-flat, sorted by key."""
-        if not self.directory.is_dir():
-            return []
-        found = [p for p in self.directory.iterdir()
-                 if p.suffix == ".pkl"]
-        for shard in self._shard_dirs():
-            found.extend(p for p in shard.iterdir() if p.suffix == ".pkl")
+        """Every entry, sorted by key."""
+        found = [p for shard in self._shard_dirs()
+                 for p in shard.iterdir() if p.suffix == ".pkl"]
         return sorted(found, key=lambda p: p.name)
-
-    def legacy_entries(self) -> list[pathlib.Path]:
-        """Entries still at the pre-shard flat layout (``gc`` migrates)."""
-        if not self.directory.is_dir():
-            return []
-        return sorted(p for p in self.directory.iterdir()
-                      if p.suffix == ".pkl")
 
     def quarantined_entries(self) -> list[pathlib.Path]:
         if not self.quarantine_dir.is_dir():
@@ -287,7 +267,6 @@ class ResultCache:
             "entries": len(entries),
             "bytes": sum(p.stat().st_size for p in entries),
             "shards": len(self._shard_dirs()),
-            "legacy_entries": len(self.legacy_entries()),
             "quarantined_entries": len(quarantined),
             "quarantined_bytes": sum(p.stat().st_size
                                      for p in quarantined),
@@ -313,8 +292,8 @@ class ResultCache:
         return ok, corrupt
 
     def gc(self) -> dict[str, int]:
-        """Sweep quarantined entries and stray ``.tmp`` files, and
-        migrate legacy flat entries into their shards."""
+        """Sweep quarantined entries, stray ``.tmp`` files and entries
+        of the pre-shard flat layout (which no key can match)."""
         removed_quarantined = 0
         for path in self.quarantined_entries():
             try:
@@ -322,28 +301,22 @@ class ResultCache:
                 removed_quarantined += 1
             except OSError:
                 pass
-        migrated = 0
-        for path in self.legacy_entries():
-            target = self._path(path.stem)
-            try:
-                target.parent.mkdir(parents=True, exist_ok=True)
-                os.replace(path, target)
-                migrated += 1
-            except OSError:
-                pass
-        removed_tmp = 0
+        removed = {".tmp": 0, ".pkl": 0}
         if self.directory.is_dir():
             for dirpath in [self.directory] + self._shard_dirs():
+                # a .pkl directly under the store is a flat-layout entry
+                stray = ((".tmp", ".pkl") if dirpath == self.directory
+                         else (".tmp",))
                 for path in dirpath.iterdir():
-                    if path.suffix == ".tmp":
+                    if path.suffix in stray:
                         try:
                             path.unlink()
-                            removed_tmp += 1
+                            removed[path.suffix] += 1
                         except OSError:
                             pass
         return {"quarantined_removed": removed_quarantined,
-                "tmp_removed": removed_tmp,
-                "migrated": migrated}
+                "tmp_removed": removed[".tmp"],
+                "flat_removed": removed[".pkl"]}
 
     # -- container protocol ---------------------------------------------------
 

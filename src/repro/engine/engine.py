@@ -37,6 +37,7 @@ import pathlib
 import time
 from dataclasses import dataclass, field
 
+from ..obs.metrics import MetricsRegistry
 from ..obs.span import Span
 from .cache import ResultCache
 from .faults import FaultPlan
@@ -105,21 +106,8 @@ class EngineStats:
     worker_spawns: int = 0
     #: dispatches served by an already-live pool worker
     workers_reused: int = 0
-
-
-@dataclass
-class BatchStats:
-    """One ``run_many`` call: where its answers came from and how wide
-    the miss execution fanned out (0 workers = nothing executed)."""
-
-    requests: int = 0
-    deduplicated: int = 0
-    memo_hits: int = 0
-    cache_hits: int = 0
-    executed: int = 0
-    failed: int = 0
-    #: pool processes used for the misses (1 = in-process serial)
-    workers: int = 0
+    #: ``run_many`` calls
+    batches: int = 0
 
 
 @dataclass
@@ -161,10 +149,10 @@ class ExperimentEngine:
         self._memo: dict[str, AllocationSummary] = {}
         #: quarantined failures, in delivery order, engine lifetime
         self.failures: list[ExperimentFailure] = []
-        #: per-``run_many`` provenance, in call order (the bench
-        #: harnesses used to infer hit rates from wall-clock deltas;
-        #: now the engine records them)
-        self.batches: list[BatchStats] = []
+        #: the per-batch shape histograms (``engine.batch_size``,
+        #: ``engine.fanout``), observed as each batch is dispatched;
+        #: buckets, not samples, so a server's lifetime fits in O(1)
+        self._batch_shapes = MetricsRegistry()
 
     def run(self, request: ExperimentRequest) -> AllocationSummary:
         """Execute (or recall) one request; raises
@@ -178,11 +166,12 @@ class ExperimentEngine:
                  ) -> list[AllocationSummary | ExperimentFailure]:
         """Execute (or recall) a batch; results align with *requests*.
 
-        Each call appends a :class:`BatchStats` entry to
-        :attr:`batches` recording the batch's hit/miss provenance and
-        pool fan-out.  Cacheable results are flushed to the persistent
-        cache as they complete, so a ``KeyboardInterrupt`` mid-batch
-        terminates the workers promptly without losing finished work.
+        Each call counts one batch in :attr:`stats` and observes its
+        size and pool fan-out in the ``engine.batch_size`` and
+        ``engine.fanout`` histograms of :meth:`metrics`.  Cacheable
+        results are flushed to the persistent cache as they complete,
+        so a ``KeyboardInterrupt`` mid-batch terminates the workers
+        promptly without losing finished work.
 
         *observations*, when given, is filled with one
         :class:`RequestObservation` per unique request key — the
@@ -196,16 +185,16 @@ class ExperimentEngine:
         a memo lookup is cheaper than checking the clock).
         """
         keyed = [(request_key(r), r) for r in requests]
-        batch = BatchStats(requests=len(keyed))
-        self.batches.append(batch)
+        self.stats.batches += 1
         self.stats.requests += len(keyed)
+        self._batch_shapes.histogram("engine.batch_size").observe(
+            len(keyed))
 
         resolved: dict[str, AllocationSummary | ExperimentFailure] = {}
         misses: dict[str, ExperimentRequest] = {}
         for key, request in keyed:
             if key in resolved or key in misses:
                 self.stats.deduplicated += 1
-                batch.deduplicated += 1
                 continue
             # non-cacheable (timing) requests are deduplicated within
             # this batch but never replayed from memo or disk — their
@@ -214,7 +203,6 @@ class ExperimentEngine:
                 summary = self._memo.get(key)
                 if summary is not None:
                     self.stats.memo_hits += 1
-                    batch.memo_hits += 1
                     if observations is not None:
                         observations[key] = RequestObservation(
                             source="memo")
@@ -224,7 +212,6 @@ class ExperimentEngine:
                     summary = self.cache.get(key)
                     if summary is not None:
                         self.stats.cache_hits += 1
-                        batch.cache_hits += 1
                         if observations is not None:
                             observations[key] = RequestObservation(
                                 source="cache")
@@ -234,14 +221,14 @@ class ExperimentEngine:
             misses[key] = request
 
         if misses:
-            outcomes, batch.workers = self._execute(
-                misses, batch, observations, deadlines)
+            outcomes, workers = self._execute(misses, observations,
+                                              deadlines)
+            self._batch_shapes.histogram("engine.fanout").observe(workers)
             resolved.update(outcomes)
 
         return [resolved[key] for key, _ in keyed]
 
     def _execute(self, misses: dict[str, ExperimentRequest],
-                 batch: BatchStats,
                  observations: dict[str, RequestObservation]
                  | None = None,
                  deadlines: dict[str, float] | None = None,
@@ -263,7 +250,6 @@ class ExperimentEngine:
             # flush incrementally: completed work survives interrupts
             if isinstance(outcome, AllocationSummary):
                 self.stats.executed += 1
-                batch.executed += 1
                 if misses[key].cacheable:
                     if self.cache is not None:
                         put_start = time.monotonic()
@@ -272,7 +258,6 @@ class ExperimentEngine:
                     self._memo[key] = outcome
             else:
                 self.stats.failed += 1
-                batch.failed += 1
                 self.failures.append(outcome)
 
         outcomes, sstats = run_supervised(
@@ -306,7 +291,7 @@ class ExperimentEngine:
         self.stats.workers_reused += sstats.workers_reused
         return outcomes, max(1, workers)
 
-    def metrics(self) -> "MetricsRegistry":
+    def metrics(self) -> MetricsRegistry:
         """The engine's lifetime stats as a metrics registry.
 
         Counters under ``engine.*`` absorb :class:`EngineStats` — the
@@ -315,11 +300,10 @@ class ExperimentEngine:
         ``engine.quarantined``, ``engine.fallback_serial``) and the
         cache-integrity counters (``engine.cache_corrupt``,
         ``engine.cache_quarantined``, ``engine.cache_write_errors``);
+        ``engine.batches`` counts :meth:`run_many` calls, and the
         ``engine.batch_size`` and ``engine.fanout`` histograms cover
-        the per-:meth:`run_many` batch shapes.
+        their shapes (fan-out only for batches that executed).
         """
-        from ..obs import MetricsRegistry
-
         registry = MetricsRegistry()
         registry.absorb_dataclass(self.stats, "engine")
         if self.cache is not None:
@@ -331,11 +315,7 @@ class ExperimentEngine:
                 self.cache.stats.write_errors)
             registry.counter("engine.cache_quarantine_races").inc(
                 self.cache.stats.quarantine_races)
-        registry.counter("engine.batches").inc(len(self.batches))
-        for batch in self.batches:
-            registry.histogram("engine.batch_size").observe(batch.requests)
-            if batch.workers:
-                registry.histogram("engine.fanout").observe(batch.workers)
+        registry.merge(self._batch_shapes)
         return registry
 
 

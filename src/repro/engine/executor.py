@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from ..interp import run_function
 from ..ir import Function, parse_function
-from ..obs import NULL_TRACER, Tracer
+from ..obs import NULL_TRACER, Span, Tracer
 from ..regalloc import AllocationResult, allocate
 from ..regalloc.splitting import SCHEMES
 from .request import (AllocationSummary, ExperimentRequest, TimingReport,
@@ -32,6 +32,17 @@ def allocate_request(fn: Function, request: ExperimentRequest,
                     coalesce_splits=request.coalesce_splits,
                     optimistic=request.optimistic, pre_split=pre_split,
                     allocator=request.allocator, tracer=tracer)
+
+
+def _timing_sample(root: Span) -> TimingSample:
+    """The Table 2 view of one ``allocate`` span tree."""
+    return TimingSample(
+        cfa=root.total("cfa"), total=root.duration,
+        rounds=[{"renum": r.total("renumber"), "build": r.total("build"),
+                 "costs": r.total("costs"), "color": r.total("color"),
+                 "spill": r.total("spill")}
+                for r in root.children_named("round")],
+        clone=root.total("clone"))
 
 
 def execute_request(request: ExperimentRequest,
@@ -59,12 +70,7 @@ def execute_request(request: ExperimentRequest,
     with tracer.span("allocate", repeats=max(1, request.repeats)):
         for _ in range(max(1, request.repeats)):
             result = allocate_request(fn, request)
-            samples.append(TimingSample(
-                cfa=result.cfa_time, total=result.total_time,
-                rounds=[{"renum": t.renumber, "build": t.build,
-                         "costs": t.costs, "color": t.color,
-                         "spill": t.spill} for t in result.round_times],
-                clone=result.clone_time))
+            samples.append(_timing_sample(result.trace))
     assert result is not None
 
     counts = steps = output = None

@@ -1,11 +1,11 @@
 """Named counters and histograms: the :class:`MetricsRegistry`.
 
 The registry absorbs the flat stat bags that grew around the allocator
-(:class:`~repro.regalloc.allocator.AllocationStats`, the engine's
-:class:`~repro.engine.engine.EngineStats` and per-batch fan-out stats)
-into one namespace of typed metrics, and renders them with the one
-formatter shared by the CLI ``allocate`` stats line, trace summaries
-and the docs tables — no more hand-built f-strings per call site.
+(:class:`~repro.regalloc.allocator.AllocationStats` and the engine's
+:class:`~repro.engine.engine.EngineStats`) into one namespace of typed
+metrics, and renders them with the one formatter shared by the CLI
+``allocate`` stats line, trace summaries and the docs tables — no more
+hand-built f-strings per call site.
 
 Zero dependencies.  A histogram keeps count/total/min/max *and* a
 fixed ladder of log-scaled buckets, so latency quantiles (p50/p90/p99)
@@ -125,6 +125,16 @@ class Histogram:
                 return min(max(bucket_upper(index), self.min), self.max)
         return self.max  # pragma: no cover - rank < count by clamping
 
+    def merge(self, other: "Histogram") -> None:
+        """Fold every observation of *other* into this histogram."""
+        if not other.count:
+            return
+        self.count += other.count
+        self.total += other.total
+        self.min = min(self.min, other.min)
+        self.max = max(self.max, other.max)
+        self.merge_counts(other._buckets or [])
+
     def merge_counts(self, counts: list[int]) -> None:
         """Fold a bucket-count array (another histogram's ``buckets``
         snapshot field) into this histogram's buckets — the stitcher
@@ -182,6 +192,13 @@ class MetricsRegistry:
                 "histograms": self.histograms()}
 
     # -- absorption -----------------------------------------------------------
+
+    def merge(self, other: "MetricsRegistry") -> None:
+        """Fold *other*'s counters and histograms into this registry."""
+        for name, counter in other._counters.items():
+            self.counter(name).inc(counter.value)
+        for name, histogram in other._histograms.items():
+            self.histogram(name).merge(histogram)
 
     def absorb_dataclass(self, obj: Any, prefix: str) -> None:
         """Fold a stats dataclass's int fields into ``prefix.*`` counters
@@ -301,13 +318,13 @@ def metrics_from_allocation(result: Any) -> MetricsRegistry:
     registry = MetricsRegistry()
     registry.absorb_dataclass(result.stats, "alloc")
     registry.counter("alloc.rounds").inc(result.rounds)
-    for times in result.round_times:
+    root = result.trace
+    for span in root.children_named("round"):
         for phase in ("renumber", "build", "costs", "color", "spill"):
-            registry.histogram(f"phase.{phase}").observe(
-                getattr(times, phase))
-    registry.histogram("phase.cfa").observe(result.cfa_time)
-    registry.histogram("phase.clone").observe(result.clone_time)
-    registry.histogram("phase.total").observe(result.total_time)
+            registry.histogram(f"phase.{phase}").observe(span.total(phase))
+    registry.histogram("phase.cfa").observe(root.total("cfa"))
+    registry.histogram("phase.clone").observe(root.total("clone"))
+    registry.histogram("phase.total").observe(root.duration)
     return registry
 
 

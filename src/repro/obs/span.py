@@ -4,8 +4,8 @@ The allocator used to time its phases with hand-rolled
 ``time.perf_counter()`` pairs scattered through ``allocate`` and
 ``allocate_local``.  Those pairs are now spans: every phase opens a
 :class:`Span` on the tracer's stack, and the resulting tree *is* the
-timing record — ``RoundTimes``, ``cfa_time`` and ``total_time`` are
-views over it (see :mod:`repro.regalloc.allocator`).
+timing record — Table 2's per-round phase times are read straight off
+it (see :mod:`repro.regalloc.allocator`).
 
 Two tracer flavors share one interface:
 

@@ -11,8 +11,7 @@ and the invalidation contract.
 
 from .manager import (ALL_ANALYSES, ANALYSES_BY_NAME, Analysis,
                       AnalysisManager, CFG_ANALYSES, DEFUSE, DOMINANCE,
-                      LIVENESS, LOOPS, POSTDOMINANCE, PreservedAnalyses,
-                      SPARSE_LIVENESS)
+                      LIVENESS, LOOPS, POSTDOMINANCE, PreservedAnalyses)
 from .pipeline import PassPipeline, PipelineReport
 from .adapters import (DCEPass, FunctionPass, LICMPass, LVNPass,
                        PASS_REGISTRY, PreSplitPass, RematSplitPass,
@@ -41,7 +40,6 @@ __all__ = [
     "PreservedAnalyses",
     "RematSplitPass",
     "RenumberPass",
-    "SPARSE_LIVENESS",
     "SSAConstructPass",
     "SSADestructPass",
     "SpillCodePass",

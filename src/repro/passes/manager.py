@@ -37,8 +37,8 @@ from typing import Any, Callable
 from ..analysis import (CodeDelta, DefUse, DominanceInfo, LivenessInfo,
                         LivenessUpdateStats, LoopInfo, PostDominanceInfo,
                         compute_def_use, compute_dominance,
-                        compute_liveness, compute_liveness_sparse,
-                        compute_loops, compute_postdominance)
+                        compute_liveness, compute_loops,
+                        compute_postdominance)
 from ..ir import Function
 from ..obs import MetricsRegistry
 
@@ -55,12 +55,6 @@ class Analysis:
 
 
 LIVENESS = Analysis("liveness", lambda fn, am: compute_liveness(fn))
-#: alternate provider for the same fact: the sparse per-variable solver
-#: (identical result, different cost model — see
-#: :mod:`repro.analysis.sparse_liveness`); install it with
-#: ``AnalysisManager(fn, providers={"liveness": SPARSE_LIVENESS})``
-SPARSE_LIVENESS = Analysis("liveness",
-                           lambda fn, am: compute_liveness_sparse(fn))
 DOMINANCE = Analysis("dominance", lambda fn, am: compute_dominance(fn))
 POSTDOMINANCE = Analysis("postdominance",
                          lambda fn, am: compute_postdominance(fn))
@@ -157,19 +151,10 @@ class AnalysisManager:
     """
 
     def __init__(self, fn: Function,
-                 metrics: MetricsRegistry | None = None,
-                 providers: dict[str, Analysis] | None = None) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         self.fn = fn
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._cache: dict[str, Any] = {}
-        #: name -> alternate Analysis serving that name (e.g. the sparse
-        #: liveness solver); the cache key stays the *name*, so every
-        #: consumer and counter is oblivious to which provider ran
-        self._providers = dict(providers) if providers else {}
-        for name, provider in self._providers.items():
-            if provider.name != name:
-                raise ValueError(
-                    f"provider for {name!r} computes {provider.name!r}")
 
     # -- retrieval ------------------------------------------------------------
 
@@ -178,7 +163,6 @@ class AnalysisManager:
         if value is not None:
             self.metrics.counter(f"analysis.reused.{analysis.name}").inc()
             return value
-        analysis = self._providers.get(analysis.name, analysis)
         value = analysis.compute(self.fn, self)
         self._cache[analysis.name] = value
         self.metrics.counter(f"analysis.computed.{analysis.name}").inc()
@@ -229,10 +213,8 @@ class AnalysisManager:
         shape analyses, since a :class:`~repro.analysis.CodeDelta` by
         contract never changes block/edge structure).
 
-        Emits ``analysis.updated.liveness`` plus the
-        ``analysis.incremental.*`` reconciliation counters (blocks
-        re-analyzed vs. total).  Returns the update stats when a cached
-        liveness was patched, else ``None``.
+        Returns the update stats (blocks re-analyzed vs. total) when a
+        cached liveness was patched, else ``None``.
         """
         if preserved is None:
             preserved = PreservedAnalyses.cfg()
@@ -240,12 +222,6 @@ class AnalysisManager:
         live = self._cache.get("liveness")
         if live is not None:
             stats = live.apply_delta(delta)
-            metrics = self.metrics
-            metrics.counter("analysis.updated.liveness").inc()
-            metrics.counter("analysis.incremental.blocks_reanalyzed").inc(
-                stats.blocks_reanalyzed)
-            metrics.counter("analysis.incremental.blocks_total").inc(
-                stats.blocks_total)
         for name in list(self._cache):
             if name == "liveness" and stats is not None:
                 continue
@@ -262,10 +238,6 @@ class AnalysisManager:
     def n_reused(self, name: str | None = None) -> int:
         """Requests served from cache (for *name*, or in total)."""
         return self._count("analysis.reused", name)
-
-    def n_updated(self, name: str | None = None) -> int:
-        """Cached entries patched in place by :meth:`update`."""
-        return self._count("analysis.updated", name)
 
     def _count(self, prefix: str, name: str | None) -> int:
         if name is not None:

@@ -1,7 +1,7 @@
 """The optimistic graph-coloring register allocator with rematerialization."""
 
 from .allocator import (AllocationError, AllocationResult, AllocationStats,
-                        RoundTimes, allocate)
+                        allocate)
 from .coalesce import CoalesceStats, build_coalesce_loop, coalesce_pass
 from .domtree_color import color_dominance_tree
 from .interference import InterferenceGraph, build_interference_graph
@@ -37,7 +37,6 @@ __all__ = [
     "SCHEMES",
     "allocate_local",
     "SplittingScheme",
-    "RoundTimes",
     "SelectResult",
     "SimplifyResult",
     "SlotPackingResult",

@@ -25,13 +25,12 @@ delegates the color-or-spill loop to a pluggable
 Per-phase wall-clock times are recorded in the same shape as the
 paper's Table 2 (cfa, renum, build, costs, color, spill — per round).
 Timing is span-based: every phase opens a span on a
-:class:`~repro.obs.Tracer` and the allocation's span tree
-(``allocate → round[i] → renumber/build/costs/color/spill``) is the
-single source of truth — :class:`RoundTimes`, ``cfa_time``,
-``clone_time`` and ``total_time`` are views over it, so Table 2 and
-every existing caller see exactly what a JSONL trace export sees.
-Pass a ``Tracer(capture_events=True)`` to additionally record the
-typed spill/coalesce/split/color decision events
+:class:`~repro.obs.Tracer`, and the allocation's span tree
+(``allocate → clone/cfa/round[i] → renumber/build/costs/color/spill``,
+kept as :attr:`AllocationResult.trace`) is the only timing record —
+Table 2, the engine's timing samples and the JSONL trace export all
+read it.  Pass a ``Tracer(capture_events=True)`` to additionally record
+the typed spill/coalesce/split/color decision events
 (:mod:`repro.obs.events`); the default tracer records spans only, and
 the pass-level hot paths guard event emission behind a single
 ``events_enabled`` attribute check.
@@ -39,22 +38,23 @@ the pass-level hot paths guard event emission behind a single
 Analyses are served by a per-allocation
 :class:`~repro.passes.AnalysisManager`: dominance and loops are computed
 once (the CFG shape is fixed after edge splitting) and survive every
-round, while renumber and spill-code insertion invalidate liveness per
-the pass layer's :class:`~repro.passes.PreservedAnalyses` contract.
-Coalescing *maintains* the cached liveness instead (bitset rename, PR 1
-semantics), and pre-split hooks share their fixed point with the first
+round, renumber invalidates liveness per the pass layer's
+:class:`~repro.passes.PreservedAnalyses` contract, and spill-code
+insertion patches the cached liveness through its
+:class:`~repro.analysis.CodeDelta` so the next round's SSA pruning
+reuses it.  Coalescing *maintains* the cached liveness too (bitset
+rename), and pre-split hooks share their fixed point with the first
 renumber — see ``docs/architecture.md``.
 """
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ir import Function, verify_function
 from ..machine import MachineDescription, standard_machine
 from ..obs import Span, Tracer
-from ..passes import AnalysisManager, PreservedAnalyses, SPARSE_LIVENESS
+from ..passes import AnalysisManager, PreservedAnalyses
 from ..remat import RenumberMode
 from .strategy import (AllocationContext, AllocationError, AllocationStats,
                        AllocatorStrategy, make_strategy)
@@ -66,38 +66,8 @@ _PRE_SPLIT_PRESERVES = PreservedAnalyses.of(
     "dominance", "postdominance", "loops", "liveness")
 
 __all__ = [
-    "AllocationError", "AllocationResult", "AllocationStats",
-    "RoundTimes", "allocate",
+    "AllocationError", "AllocationResult", "AllocationStats", "allocate",
 ]
-
-
-@dataclass
-class RoundTimes:
-    """Per-iteration phase timings, Table 2 style (seconds).
-
-    A view over one ``round`` span: the floats are exactly the summed
-    durations of the round's like-named child spans (so the span tree
-    and Table 2 can never disagree).  Constructing one directly with
-    float values remains supported for tests and synthetic data.
-    """
-
-    renumber: float = 0.0
-    build: float = 0.0
-    costs: float = 0.0
-    color: float = 0.0
-    spill: float = 0.0
-    #: the round span these numbers are a view of (``None`` when
-    #: constructed synthetically)
-    span: Span | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def from_span(cls, span: Span) -> "RoundTimes":
-        return cls(renumber=span.total("renumber"),
-                   build=span.total("build"),
-                   costs=span.total("costs"),
-                   color=span.total("color"),
-                   spill=span.total("spill"),
-                   span=span)
 
 
 @dataclass
@@ -108,20 +78,15 @@ class AllocationResult:
     mode: RenumberMode
     machine: MachineDescription
     stats: AllocationStats
-    cfa_time: float
-    round_times: list[RoundTimes]
-    total_time: float
-    #: deep-copy time under ``clone=True`` — kept out of the phase rows
-    #: so Table 2 comparisons against in-place runs are apples to apples
-    clone_time: float = 0.0
-    #: the allocation's root span (``allocate``), for trace export
-    trace: Span | None = None
+    #: the allocation's root span (``allocate``): every phase time of
+    #: the run, per round
+    trace: Span
     #: the strategy that produced the coloring (the ``allocator=`` axis)
     allocator: str = "iterated"
 
     @property
     def rounds(self) -> int:
-        return len(self.round_times)
+        return self.stats.n_rounds
 
 
 def allocate(fn: Function, machine: MachineDescription | None = None,
@@ -130,9 +95,8 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
              biased: bool = True, lookahead: bool = True,
              coalesce_splits: bool = True, optimistic: bool = True,
              pre_split=None, tracer: Tracer | None = None,
-             verify_rounds: bool = False, incremental: bool = True,
+             verify_rounds: bool = False,
              verify_incremental: bool = False,
-             liveness_mode: str = "dense",
              allocator: str = "iterated") -> AllocationResult:
     """Allocate registers for *fn*.
 
@@ -149,34 +113,22 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
         optimistic: Briggs' optimistic coloring (the default); with
             ``False`` simplify spills its candidates outright, like
             Chaitin's original allocator.
-        pre_split: optional hook ``f(fn, dom, loops) -> None`` run once
-            before the first renumber — used by the Section 6 loop-based
-            splitting schemes.  Hooks that additionally accept an ``am``
-            keyword receive the round loop's
-            :class:`~repro.passes.AnalysisManager` and share its cached
-            analyses.
+        pre_split: optional hook ``f(fn, dom, loops, am=None) -> None``
+            run once before the first renumber — used by the Section 6
+            loop-based splitting schemes.  It receives the round loop's
+            :class:`~repro.passes.AnalysisManager` as ``am`` and shares
+            its cached analyses.
         tracer: observability sink; pass
             ``Tracer(capture_events=True)`` to record decision events
             alongside the (always recorded) span tree.
         verify_rounds: run the IR verifier after every mutating phase
             (renumber, spill insertion) of every round — the allocator's
             analogue of the pipeline's ``verify_after_each``.
-        incremental: maintain cached analyses across spill rounds (the
-            default): spill-code insertion reports a
-            :class:`~repro.analysis.CodeDelta` and the manager patches
-            the liveness bitsets in place, so the next round's SSA
-            pruning is a cache hit instead of a fixed point; the
-            build–coalesce loop likewise patches the interference graph
-            between passes.  ``False`` restores strict
-            invalidate-and-recompute (identical output, more work).
-        verify_incremental: cross-check every incremental result
-            against a from-scratch recomputation (patched liveness vs.
-            a fresh fixed point, patched graphs vs. fresh builds) and
-            raise on any divergence.  Expensive; for test suites and CI.
-        liveness_mode: ``"dense"`` (the bit-vector worklist solver) or
-            ``"sparse"`` (per-variable backward propagation,
-            :mod:`repro.analysis.sparse_liveness`) — same fixed point,
-            different cost model.
+        verify_incremental: cross-check every patched analysis against
+            a from-scratch recomputation (the liveness patched after
+            each spill round vs. a fresh fixed point, the graphs patched
+            between coalesce passes vs. fresh builds) and raise on any
+            divergence.  Expensive; for test suites and CI.
         allocator: the allocation discipline — ``"iterated"`` (the
             paper's Chaitin/Briggs loop, the default) or ``"ssa"``
             (spill everywhere under SSA form; see
@@ -191,8 +143,6 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
     # caller's function half-normalized (unreachable blocks dropped,
     # critical edges split) — the driver must reject bad arguments
     # while *fn* is still untouched
-    if liveness_mode not in ("dense", "sparse"):
-        raise ValueError(f"unknown liveness_mode {liveness_mode!r}")
     if not isinstance(mode, RenumberMode):
         raise ValueError(f"mode must be a RenumberMode, got {mode!r}")
     strategy: AllocatorStrategy = make_strategy(allocator)
@@ -212,15 +162,13 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
         # the CFG shape never changes after edge splitting, so dominance
         # and loop nesting are computed once here and preserved by every
         # round's invalidations
-        providers = ({"liveness": SPARSE_LIVENESS}
-                     if liveness_mode == "sparse" else None)
-        am = AnalysisManager(work, providers=providers)
+        am = AnalysisManager(work)
         with tracer.span("cfa"):
             dom = am.dominance()
             loops = am.loops()
 
         if pre_split is not None:
-            _call_pre_split(pre_split, work, dom, loops, am)
+            pre_split(work, dom, loops, am=am)
             am.invalidate(_PRE_SPLIT_PRESERVES)
             if verify_rounds:
                 verify_function(work)
@@ -229,7 +177,7 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
             fn=fn, work=work, machine=machine, mode=mode,
             max_rounds=max_rounds, biased=biased, lookahead=lookahead,
             coalesce_splits=coalesce_splits, optimistic=optimistic,
-            verify_rounds=verify_rounds, incremental=incremental,
+            verify_rounds=verify_rounds,
             verify_incremental=verify_incremental, tracer=tracer,
             am=am, dom=dom, loops=loops)
         strategy.run(ctx)
@@ -243,34 +191,5 @@ def allocate(fn: Function, machine: MachineDescription | None = None,
                         max_int_reg=machine.int_regs,
                         max_float_reg=machine.float_regs)
 
-    cfa_span = root.child("cfa")
-    clone_span = root.child("clone")
-    return AllocationResult(
-        function=work, mode=mode, machine=machine, stats=stats,
-        cfa_time=cfa_span.duration if cfa_span else 0.0,
-        round_times=[RoundTimes.from_span(span)
-                     for span in root.children_named("round")],
-        total_time=root.duration,
-        clone_time=clone_span.duration if clone_span else 0.0,
-        trace=root,
-        allocator=allocator)
-
-
-def _call_pre_split(hook, fn: Function, dom, loops,
-                    am: AnalysisManager) -> None:
-    """Invoke a pre-split hook, passing the manager when it takes one.
-
-    The public hook signature stays ``f(fn, dom, loops)``; the bundled
-    Section 6 schemes additionally accept ``am`` and share the round
-    loop's cached liveness.
-    """
-    try:
-        params = inspect.signature(hook).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        params = {}
-    takes_am = "am" in params or any(
-        p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
-    if takes_am:
-        hook(fn, dom, loops, am=am)
-    else:
-        hook(fn, dom, loops)
+    return AllocationResult(function=work, mode=mode, machine=machine,
+                            stats=stats, trace=root, allocator=allocator)

@@ -200,7 +200,7 @@ def build_coalesce_loop(fn: Function, machine: MachineDescription,
                         build_graph, no_spill: set[Reg] | None = None,
                         coalesce_splits: bool = True,
                         liveness: LivenessInfo | None = None,
-                        tracer=NULL_TRACER, incremental: bool = True,
+                        tracer=NULL_TRACER,
                         verify_incremental: bool = False,
                         ) -> tuple[InterferenceGraph, CoalesceStats]:
     """The paper's build–coalesce loop.
@@ -213,13 +213,13 @@ def build_coalesce_loop(fn: Function, machine: MachineDescription,
     one per rebuild — and every rebuild after the first is a cache hit
     because coalescing renames the bitsets in place.
 
-    With *incremental* (the default), rebuilds after a pass are served
-    by :meth:`InterferenceGraph.try_refresh_after_coalesce` — an edge
-    patch over the merge-dirty rows — falling back to a from-scratch
-    scan when a pass merged more than patching profits from (typically
-    the first, aggressive pass).  *verify_incremental* cross-checks
-    every patch against a from-scratch build and raises on any mismatch
-    (rows or node order).  Returns the final graph and the statistics.
+    Rebuilds after a pass are served by
+    :meth:`InterferenceGraph.try_refresh_after_coalesce` — an edge patch
+    over the merge-dirty rows — falling back to a from-scratch scan when
+    a pass merged more than patching profits from (typically the first,
+    aggressive pass).  *verify_incremental* cross-checks every patch
+    against a from-scratch build and raises on any mismatch (rows or
+    node order).  Returns the final graph and the statistics.
     """
     stats = CoalesceStats()
     if liveness is None:
@@ -232,21 +232,20 @@ def build_coalesce_loop(fn: Function, machine: MachineDescription,
     def rebuild(graph: InterferenceGraph,
                 dirty: set[Reg]) -> InterferenceGraph:
         stats.liveness_cache_hits += 1
-        if incremental:
-            patch = graph.try_refresh_after_coalesce(fn, liveness, dirty)
-            if patch is not None:
-                stats.graph_patches += 1
-                stats.graph_blocks_rescanned += patch.blocks_rescanned
-                stats.graph_edges_patched += patch.edges_patched
-                if verify_incremental:
-                    problems = diff_graphs(graph, fresh_build())
-                    if problems:
-                        raise RuntimeError(
-                            "incremental interference refresh diverged "
-                            f"from from-scratch build on {fn.name}: "
-                            + "; ".join(problems[:5]))
-                return graph
-        return fresh_build()
+        patch = graph.try_refresh_after_coalesce(fn, liveness, dirty)
+        if patch is None:
+            return fresh_build()
+        stats.graph_patches += 1
+        stats.graph_blocks_rescanned += patch.blocks_rescanned
+        stats.graph_edges_patched += patch.edges_patched
+        if verify_incremental:
+            problems = diff_graphs(graph, fresh_build())
+            if problems:
+                raise RuntimeError(
+                    "incremental interference refresh diverged from "
+                    f"from-scratch build on {fn.name}: "
+                    + "; ".join(problems[:5]))
+        return graph
 
     stats.liveness_cache_misses += 1
     graph = fresh_build()

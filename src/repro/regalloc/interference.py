@@ -32,8 +32,6 @@ class GraphPatchStats:
 
     #: blocks whose edge-insertion scan was re-run
     blocks_rescanned: int = 0
-    #: blocks in the function
-    blocks_total: int = 0
     #: adjacency bits re-derived (edge endpoints on refreshed rows)
     edges_patched: int = 0
 
@@ -135,19 +133,6 @@ class InterferenceGraph:
     def n_edges(self) -> int:
         return sum(row.bit_count() for row in self._rows.values()) // 2
 
-    def clone(self) -> "InterferenceGraph":
-        """An independent copy sharing the (append-only) index.
-
-        Rows are immutable ints, so copying the two dicts decouples the
-        clone from later :meth:`merge` / refresh calls on the original —
-        used to time destructive patches repeatably and to diff a
-        patched copy against its pristine source.
-        """
-        other = InterferenceGraph(index=self._index)
-        other._rows = dict(self._rows)
-        other._node_regs = dict(self._node_regs)
-        return other
-
     # -- mutation (coalescing support) -------------------------------------------
 
     def merge(self, keep: Reg, gone: Reg) -> None:
@@ -214,75 +199,16 @@ class InterferenceGraph:
             if i is not None:
                 dirty_mask |= 1 << i
         if not dirty_mask:
-            return GraphPatchStats(blocks_total=len(fn.blocks))
-        return self._refresh(fn, liveness, dirty_mask, max_block_fraction)
+            return GraphPatchStats()
 
-    def refresh_after_spill(self, fn: Function, liveness: LivenessInfo,
-                            delta) -> GraphPatchStats:
-        """Patch this graph after spill-code insertion described by a
-        :class:`~repro.analysis.CodeDelta`: the spilled ranges' rows and
-        columns disappear, and the tiny spill-temp intervals gain their
-        edges from a rescan of the dirty blocks alone.
-
-        *liveness* must already be patched for the same delta
-        (:meth:`~repro.analysis.LivenessInfo.apply_delta`).  Exact for
-        the same reason the liveness patch is: spilled registers vanish
-        from the code, temps are block-local, and the only surviving
-        registers whose liveness can change are the delta's *touched*
-        ones (a deleted remat def is also a deleted use of its
-        sources) — so every edge that differs from a fresh build
-        involves a removed, added, or touched register, and all three
-        groups are treated as dirty rows.
-
-        Note the allocator's round loop cannot consume this across
-        rounds — renumber renames every register, so each round's first
-        build starts a new graph — but the build–coalesce loop's
-        *within-round* rebuilds do (see
-        :meth:`try_refresh_after_coalesce`), and the delta form is what
-        the property suite and scaling bench verify and measure.
-        """
-        index = self._index
-        dirty_mask = 0
-        for reg in delta.removed_regs:
-            i = index.get(reg)
-            if i is not None:
-                dirty_mask |= 1 << i
-        for reg in delta.touched_regs:
-            i = index.get(reg)
-            if i is not None:
-                dirty_mask |= 1 << i
-        for reg in delta.added_regs:
-            dirty_mask |= 1 << index.ensure(reg)
-        if not dirty_mask:
-            return GraphPatchStats(blocks_total=len(fn.blocks))
-        return self._refresh(fn, liveness, dirty_mask, None)
-
-    def _refresh(self, fn: Function, liveness: LivenessInfo,
-                 dirty_mask: int,
-                 max_block_fraction: float | None) -> GraphPatchStats | None:
-        """The shared patch engine: make this graph equal a fresh build
-        over *fn* given that every changed adjacency bit involves a
-        register in *dirty_mask*.
-
-        Clears the dirty rows and columns, restores fresh-build node
-        insertion order, then re-derives the dirty-incident edges by
-        rescanning only the blocks where a dirty register is referenced
-        or live (per the already-updated *liveness*).  When
-        *max_block_fraction* is given and exceeded, returns ``None``
-        without touching the graph.
-        """
-        index = self._index
         rows = self._rows
         hit_blocks = [
             blk for blk in fn.blocks
             if (liveness.use_bits(blk.label) | liveness.def_bits(blk.label)
                 | liveness.live_out_bits(blk.label)) & dirty_mask]
-        n_blocks = len(fn.blocks)
-        if (max_block_fraction is not None
-                and len(hit_blocks) > max_block_fraction * n_blocks):
+        if len(hit_blocks) > max_block_fraction * len(fn.blocks):
             return None
-        stats = GraphPatchStats(blocks_rescanned=len(hit_blocks),
-                                blocks_total=n_blocks)
+        stats = GraphPatchStats(blocks_rescanned=len(hit_blocks))
 
         # fresh-build node set and insertion order (same scan as
         # build_interference_graph's add_node loop: dests before srcs)
@@ -302,9 +228,9 @@ class InterferenceGraph:
         keep = ~dirty_mask
         for i in list(rows):
             if i not in new_node_regs:
-                # gone from the code entirely (merged-away or spilled:
-                # necessarily dirty, so its bits in surviving rows fall
-                # to the column clear below)
+                # gone from the code entirely (merged away: necessarily
+                # dirty, so its bits in surviving rows fall to the
+                # column clear below)
                 del rows[i]
             elif (1 << i) & dirty_mask:
                 rows[i] = 0

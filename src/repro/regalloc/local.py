@@ -37,11 +37,7 @@ class LocalAllocationResult:
     n_reloads: int = 0
     n_stores: int = 0
     n_slots: int = 0
-    #: duration of the ``local_allocate`` span (a view over :attr:`trace`)
-    total_time: float = 0.0
-    #: deep-copy time under ``clone=True``, as its own span/field
-    clone_time: float = 0.0
-    #: the allocation's root span, for trace export
+    #: the allocation's root span (``local_allocate``), the run's timing
     trace: Span | None = field(default=None, repr=False, compare=False)
 
 
@@ -114,9 +110,6 @@ def allocate_local(fn: Function,
         verify_function(work, require_physical=True,
                         max_int_reg=machine.int_regs,
                         max_float_reg=machine.float_regs)
-    result.total_time = root.duration
-    clone_span = root.child("clone")
-    result.clone_time = clone_span.duration if clone_span else 0.0
     result.trace = root
     return result
 

@@ -22,9 +22,9 @@ color-or-spill loop to an :class:`AllocatorStrategy`:
   strategy.
 
 Both strategies emit the same span skeleton
-(``round → renumber/build/costs/color/spill``), so
-:class:`~repro.regalloc.allocator.RoundTimes`, Table 2 and the JSONL
-trace exports work unchanged whichever discipline ran.
+(``round → renumber/build/costs/color/spill``), so Table 2, the
+engine's timing samples and the JSONL trace exports work unchanged
+whichever discipline ran.
 """
 
 from __future__ import annotations
@@ -120,7 +120,6 @@ class AllocationContext:
     coalesce_splits: bool
     optimistic: bool
     verify_rounds: bool
-    incremental: bool
     verify_incremental: bool
     tracer: Tracer
     am: AnalysisManager
@@ -180,7 +179,6 @@ class IteratedColoringStrategy(AllocatorStrategy):
                         no_spill=no_spill,
                         coalesce_splits=ctx.coalesce_splits,
                         liveness=liveness, tracer=tracer,
-                        incremental=ctx.incremental,
                         verify_incremental=ctx.verify_incremental)
                 stats.n_copies_coalesced += cstats.copies_removed
                 stats.n_splits_coalesced += cstats.splits_removed
@@ -192,17 +190,6 @@ class IteratedColoringStrategy(AllocatorStrategy):
                 stats.n_graph_blocks_rescanned += \
                     cstats.graph_blocks_rescanned
                 stats.n_graph_edges_patched += cstats.graph_edges_patched
-                if cstats.graph_patches:
-                    metrics = am.metrics
-                    metrics.counter(
-                        "analysis.incremental.graph_patches").inc(
-                            cstats.graph_patches)
-                    metrics.counter(
-                        "analysis.incremental.graph_blocks_rescanned").inc(
-                            cstats.graph_blocks_rescanned)
-                    metrics.counter(
-                        "analysis.incremental.graph_edges_patched").inc(
-                            cstats.graph_edges_patched)
                 stats.max_bitset_bits = max(stats.max_bitset_bits,
                                             len(liveness.index))
 
@@ -371,33 +358,26 @@ def _audit_coloring(work: Function, liveness, coloring: dict[Reg, int],
 
 def _emit_spill_code(ctx: AllocationContext, spilled: list[Reg],
                      costs) -> SpillCodeStats:
-    """Insert this round's spill code and keep the cached analyses
-    honest — the incremental patch-vs-invalidate dance both strategies
-    share, byte-for-byte the round epilogue ``allocate()`` always ran."""
+    """Insert this round's spill code and patch the cached liveness
+    through its :class:`~repro.analysis.CodeDelta` — the round epilogue
+    both strategies share."""
     tracer, work, am, stats = ctx.tracer, ctx.work, ctx.am, ctx.stats
     with tracer.span("spill"):
         spill_stats = insert_spill_code(work, spilled, costs)
-    if ctx.incremental and spill_stats.delta is not None:
-        # patch the cached liveness through the spill delta instead of
-        # evicting it: the next round's renumber reads it for SSA
-        # pruning as a cache hit, saving one whole-function fixed point
-        # per round ≥ 2
-        update = am.update(spill_stats.delta, _CFG_ONLY)
-        if update is not None:
-            stats.n_liveness_updates += 1
-            stats.n_incremental_blocks_reanalyzed += \
-                update.blocks_reanalyzed
-            stats.n_incremental_blocks_total += update.blocks_total
-            if ctx.verify_incremental:
-                problems = diff_liveness(
-                    am.liveness(), compute_liveness(work))
-                if problems:
-                    raise RuntimeError(
-                        "incremental liveness update diverged "
-                        f"from recompute on {ctx.fn.name}: "
-                        + "; ".join(problems[:5]))
-    else:
-        am.invalidate(_CFG_ONLY)
+    # patch instead of evicting: the next round's renumber reads the
+    # liveness for SSA pruning as a cache hit, saving one
+    # whole-function fixed point per round ≥ 2
+    update = am.update(spill_stats.delta, _CFG_ONLY)
+    if update is not None:
+        stats.n_liveness_updates += 1
+        stats.n_incremental_blocks_reanalyzed += update.blocks_reanalyzed
+        stats.n_incremental_blocks_total += update.blocks_total
+        if ctx.verify_incremental:
+            problems = diff_liveness(am.liveness(), compute_liveness(work))
+            if problems:
+                raise RuntimeError(
+                    "incremental liveness update diverged from recompute "
+                    f"on {ctx.fn.name}: " + "; ".join(problems[:5]))
     if ctx.verify_rounds:
         verify_function(work)
     stats.n_spilled_ranges += len(spilled)

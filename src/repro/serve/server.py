@@ -630,17 +630,18 @@ class AllocationServer:
 
     def metrics_snapshot(self) -> dict:
         """``serve.*`` + ``pool.*`` + the engine's own registry."""
+        engine_metrics = self.engine.metrics()
         merged = MetricsRegistry()
         for name, value in self.metrics.counters().items():
             merged.counter(name).inc(value)
-        for name, value in self.engine.metrics().counters().items():
+        for name, value in engine_metrics.counters().items():
             merged.counter(name).inc(value)
         if self.engine.pool is not None:
             merged.absorb_dataclass(self.engine.pool.stats, "pool")
             merged.counter("pool.size").inc(self.engine.pool.size)
         snapshot = {"counters": merged.counters()}
         histograms = self.metrics.histograms()
-        histograms.update(self.engine.metrics().histograms())
+        histograms.update(engine_metrics.histograms())
         snapshot["histograms"] = histograms
         snapshot["queue_depth"] = self.queue.qsize()
         snapshot["inflight"] = len(self.inflight)

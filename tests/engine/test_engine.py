@@ -234,34 +234,66 @@ def test_ir_text_round_trips_for_every_kernel():
         assert function_to_text(parse_function(text)) == text
 
 
+def run_delta(engine, requests) -> dict[str, int]:
+    """How one ``run_many`` call moved the engine's :class:`EngineStats`."""
+    before = dataclasses.asdict(engine.stats)
+    engine.run_many(requests)
+    after = dataclasses.asdict(engine.stats)
+    return {name: after[name] - before[name] for name in after}
+
+
 class TestBatchStats:
     def test_each_run_many_appends_a_batch(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        engine.run_many([req(), req(), req(kernel=ADAPT)])
-        engine.run_many([req()])
-        assert len(engine.batches) == 2
-        first, second = engine.batches
-        assert first.requests == 3
-        assert first.deduplicated == 1
-        assert first.executed == 2
-        assert first.workers == 1
-        assert second.requests == 1
-        assert second.memo_hits == 1
-        assert second.executed == 0
-        assert second.workers == 0
+        first = run_delta(engine, [req(), req(), req(kernel=ADAPT)])
+        second = run_delta(engine, [req()])
+        assert first["batches"] == second["batches"] == 1
+        assert first["requests"] == 3
+        assert first["deduplicated"] == 1
+        assert first["executed"] == 2
+        assert second["requests"] == 1
+        assert second["memo_hits"] == 1
+        assert second["executed"] == 0
+        # only the first batch executed, on one in-process worker
+        fanout = engine.metrics().histograms()["engine.fanout"]
+        assert (fanout["count"], fanout["max"]) == (1, 1)
 
     def test_cache_hits_counted_per_batch(self, tmp_path):
         warm = ExperimentEngine(jobs=1, cache_dir=tmp_path)
         warm.run(req())
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)
-        engine.run(req())
-        assert engine.batches[-1].cache_hits == 1
-        assert engine.batches[-1].executed == 0
+        delta = run_delta(engine, [req()])
+        assert delta["cache_hits"] == 1
+        assert delta["executed"] == 0
 
     def test_parallel_fanout_recorded(self, tmp_path):
         engine = ExperimentEngine(jobs=2, cache_dir=tmp_path)
         engine.run_many([req(), req(kernel=ADAPT)])
-        assert engine.batches[-1].workers == 2
+        assert engine.metrics().histograms()["engine.fanout"]["max"] == 2
+
+    def test_memo_hit_batches_keep_the_heap_flat(self):
+        """A long-lived engine (the server's) keeps no per-batch record:
+        10,000 memo-hit batches grow the traced heap by under 100 KB,
+        and the batch counter and histograms still count each one."""
+        import tracemalloc
+
+        engine = ExperimentEngine(jobs=1, use_cache=False)
+        request = req()
+        engine.run(request)
+        engine.run_many([request])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(10_000):
+                engine.run_many([request])
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert grown < 100_000, grown
+        metrics = engine.metrics()
+        assert metrics.counters()["engine.batches"] == 10_002
+        assert metrics.histograms()["engine.batch_size"]["count"] == 10_002
+        assert metrics.histograms()["engine.fanout"]["count"] == 1
 
     def test_metrics_registry_view(self, tmp_path):
         engine = ExperimentEngine(jobs=1, cache_dir=tmp_path)

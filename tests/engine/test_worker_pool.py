@@ -63,7 +63,8 @@ class TestWarmReuse:
         # even single-request batches execute on the (warm) pool
         assert engine.stats.worker_spawns == 1
         assert engine.stats.workers_reused >= 1
-        assert engine.batches[0].workers == 1
+        fanout = engine.metrics().histograms()["engine.fanout"]
+        assert (fanout["count"], fanout["max"]) == (2, 1)
 
     def test_dead_idle_worker_is_reaped_and_replaced(self, pool):
         run_supervised(items(requests(1)), 1, pool=pool)

@@ -129,8 +129,8 @@ SEEDS = range(50)
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_span_tree_properties_random_cfg(seed):
-    """On 50 random CFGs: the span tree nests correctly and the
-    RoundTimes/cfa_time/total_time views agree with the tree."""
+    """On 50 random CFGs: the span tree nests correctly and each
+    round's phases account for the round."""
     fn = random_program(seed)
     result, tracer = traced_allocation(fn, spill_forcing_machine())
     root = result.trace
@@ -153,21 +153,16 @@ def test_span_tree_properties_random_cfg(seed):
             check_ordered(span.children[-1])
     check_ordered(root)
 
-    # the timing views are exactly the tree's numbers
+    # one round span per round, directly under the root
     rounds = [s for s in root.walk() if s.name == "round"]
-    assert len(rounds) == len(result.round_times)
-    for span, times in zip(rounds, result.round_times):
-        assert times.span is span
-        for phase in PHASES:
-            assert getattr(times, phase) == span.total(phase)
+    assert rounds == root.children_named("round")
+    assert len(rounds) == result.rounds
+    for span in rounds:
         # phases account for (almost all of) the round: the slack is
         # loop scaffolding, far below the phase work itself
         phase_sum = sum(span.total(p) for p in PHASES)
         assert phase_sum <= span.duration
-    cfa = root.child("cfa")
-    assert result.cfa_time == cfa.duration
-    assert result.total_time == root.duration
-    assert result.clone_time == root.total("clone")
+    assert len(root.children_named("cfa")) == 1
 
     # events reconcile on random programs too
     events = [e for s in root.walk() for e in s.events]
@@ -178,14 +173,14 @@ def test_span_tree_properties_random_cfg(seed):
 
 def test_untraced_allocation_still_carries_times():
     """Without a caller tracer the allocator builds its own span tree,
-    so the timing fields keep working exactly as before."""
+    so every allocation carries its times."""
     fn = random_program(1)
     result = allocate(fn, machine=spill_forcing_machine())
-    assert result.total_time > 0
-    assert result.cfa_time > 0
-    assert math.isfinite(result.clone_time)
-    assert result.trace is not None
-    assert result.trace.name == "allocate"
+    root = result.trace
+    assert root.name == "allocate"
+    assert root.duration > 0
+    assert root.total("cfa") > 0
+    assert math.isfinite(root.total("clone"))
 
 
 # -- hash-seed independence ----------------------------------------------------

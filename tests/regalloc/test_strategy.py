@@ -43,9 +43,9 @@ class TestValidationOrdering:
     edges split)."""
 
     @pytest.mark.parametrize("kwargs", [
-        {"liveness_mode": "densest"},
         {"mode": "remat"},          # a string, not a RenumberMode
         {"allocator": "linear-scan"},
+        {"allocator": None},
     ])
     def test_bad_argument_leaves_input_untouched(self, kwargs):
         fn = nested_loops()
@@ -131,8 +131,8 @@ class TestSSAStrategy:
         assert {blk.label for blk in result.function.blocks} <= labels
 
     def test_span_skeleton_matches_iterated(self):
-        """RoundTimes / Table 2 are views over the span tree; both
-        strategies must emit the same phase skeleton."""
+        """Table 2 reads the span tree; both strategies must emit the
+        same phase skeleton."""
         fn = KERNELS_BY_NAME["fehl"].compile()
         tracer = Tracer(capture_events=True)
         allocate(fn, machine=machine_with(6, 6), allocator="ssa",

@@ -64,3 +64,20 @@ class TestGc:
         assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
         assert "removed 1 quarantined" in capsys.readouterr().out
         assert ResultCache(cache_dir).quarantined_entries() == []
+
+    def test_flat_layout_entry_is_not_served_and_gc_deletes_it(
+            self, cache_dir, capsys):
+        """An entry at the pre-shard flat layout (``<key>.pkl`` directly
+        under the store) answers no request, and ``gc`` removes it."""
+        key = first_key(cache_dir)
+        cache = ResultCache(cache_dir)
+        flat = cache_dir / f"{key}.pkl"
+        cache.locate(key).rename(flat)
+        assert cache.get(key) is None
+        assert key not in cache
+        assert len(cache) == 1
+        assert cache.stats.corrupt == 0
+        assert main(["cache", "gc", "--cache-dir", str(cache_dir)]) == 0
+        assert "1 flat-layout entries" in capsys.readouterr().out
+        assert not flat.exists()
+        assert len(ResultCache(cache_dir)) == 1
